@@ -21,10 +21,7 @@
  *                  workloads.
  *
  * The headline scalar `total_walkstorm_packets_per_sec` aggregates
- * all three storms (sum of packets over sum of wall time);
- * check_repo.sh gate 12 forms the cross-build ratio of that scalar
- * between a -DHYPERSIO_EVENT_FUSION=ON and an =OFF build, after
- * requiring every deterministic count scalar to match exactly.
+ * all three storms (sum of packets over sum of wall time).
  *
  * Usage:
  *   event_fusion_microbench [--packets N] [--tenants N] [--reps N]
@@ -33,10 +30,9 @@
  * `--check-speedup X` additionally runs every storm with the
  * runtime knob off (SystemConfig::eventFusion = false) in the same
  * binary, asserts the two legs' RunResults and stat trees are
- * byte-identical, and fails unless the aggregate fused/per-hop
- * rate ratio reaches X. In a -DHYPERSIO_EVENT_FUSION=OFF build the
- * A/B would compare the reference against itself, so the check is
- * skipped with a notice.
+ * byte-identical, that the per-hop leg dispatched exactly the fused
+ * leg's events plus its fused hops, and fails unless the aggregate
+ * fused/per-hop rate ratio reaches X (check_repo.sh gate 12).
  */
 
 #include <chrono>
@@ -272,41 +268,36 @@ struct StormRun
     uint64_t fusedHops = 0;
     uint64_t dispatched = 0;
     double wall = 0.0; ///< best-of-reps
-};
+    unsigned reps = 0;
 
-/**
- * Runs `trace` under `config` `reps` times (fresh System each rep;
- * the model is single-shot) and keeps the best wall time. Results
- * must not drift across reps — the workload is deterministic.
- */
-StormRun
-runStorm(const core::SystemConfig &config,
-         const trace::HyperTrace &trace, unsigned reps)
-{
-    StormRun run;
-    for (unsigned rep = 0; rep < reps; ++rep) {
+    /**
+     * Runs `trace` under `config` once more (fresh System: the model
+     * is single-shot) and keeps the best wall time. Results must not
+     * drift across reps — the workload is deterministic.
+     */
+    void
+    rep(const core::SystemConfig &config,
+        const trace::HyperTrace &trace)
+    {
         core::System system(config);
         const auto t0 = std::chrono::steady_clock::now();
-        core::RunResults results = system.run(trace);
-        const double wall = wallSeconds(t0);
+        core::RunResults run = system.run(trace);
+        const double dt = wallSeconds(t0);
         std::ostringstream stats;
         system.dumpStats(stats);
-        if (rep == 0) {
-            run.results = results;
-            run.statsBytes = stats.str();
-            run.fusedHops = system.eventQueue().fusedHops();
-            run.dispatched = system.eventQueue().executed();
-            run.wall = wall;
+        if (reps++ == 0) {
+            results = run;
+            statsBytes = stats.str();
+            fusedHops = system.eventQueue().fusedHops();
+            dispatched = system.eventQueue().executed();
+            wall = dt;
         } else {
-            HYPERSIO_ASSERT(results == run.results &&
-                                stats.str() == run.statsBytes,
+            HYPERSIO_ASSERT(run == results && stats.str() == statsBytes,
                             "storm results drifted across reps");
-            if (wall < run.wall)
-                run.wall = wall;
+            wall = std::min(wall, dt);
         }
     }
-    return run;
-}
+};
 
 struct StormSpec
 {
@@ -337,16 +328,10 @@ main(int argc, char **argv)
     bench::JsonReport report("event_fusion_microbench", ropts);
 
     const bool check = opts.checkSpeedup > 0.0;
-    const bool can_ab = sim::EventQueue::FusionCompiledIn;
-    if (check && !can_ab)
-        std::printf("fusion not compiled in "
-                    "(-DHYPERSIO_EVENT_FUSION=OFF); skipping the "
-                    "in-binary A/B check\n");
 
     std::printf("event fusion microbench: %llu packets x %u tenants "
-                "(hit storm; fusion %s)\n",
-                (unsigned long long)opts.packets, opts.tenants,
-                can_ab ? "compiled in" : "compiled out");
+                "(hit storm)\n",
+                (unsigned long long)opts.packets, opts.tenants);
     std::printf("%-16s %12s %12s %12s %10s\n", "storm", "packets/s",
                 "fused hops", "dispatched", "walks");
 
@@ -362,7 +347,17 @@ main(int argc, char **argv)
         core::SystemConfig config = stormConfig(spec.name);
         config.link.gbps = spec.gbps;
         config.eventFusion = true;
-        const StormRun fused = runStorm(config, trace, opts.reps);
+        core::SystemConfig perhop_config = config;
+        perhop_config.eventFusion = false;
+        // With --check-speedup the legs alternate rep by rep, so a
+        // slow stretch of the host hits both sides alike.
+        StormRun fused;
+        StormRun perhop;
+        for (unsigned rep = 0; rep < opts.reps; ++rep) {
+            fused.rep(config, trace);
+            if (check)
+                perhop.rep(perhop_config, trace);
+        }
 
         HYPERSIO_ASSERT(fused.results.packetsProcessed ==
                             trace.packets.size(),
@@ -394,18 +389,11 @@ main(int argc, char **argv)
                          static_cast<double>(
                              fused.results.iommuRequests));
         report.addScalar(prefix + "_packets_per_sec", pps);
-        // Deterministic fusion telemetry. Deliberately NOT a
-        // count-suffixed name: it legitimately differs between
-        // fusion-ON and fusion-OFF builds, and bench_speedup.py
-        // requires count-suffixed scalars to match exactly.
+        // Deterministic fusion telemetry of the fused leg.
         report.addScalar(prefix + "_fused_hops",
                          static_cast<double>(fused.fusedHops));
 
-        if (check && can_ab) {
-            core::SystemConfig perhop_config = config;
-            perhop_config.eventFusion = false;
-            const StormRun perhop =
-                runStorm(perhop_config, trace, opts.reps);
+        if (check) {
             // The whole point: identical simulation, fewer
             // dispatches. Any observable difference is a bug.
             HYPERSIO_ASSERT(perhop.results == fused.results,
@@ -438,10 +426,9 @@ main(int argc, char **argv)
     report.addScalar("total_packets",
                      static_cast<double>(total_packets));
     report.addScalar("total_walkstorm_packets_per_sec", total_pps);
-    report.addScalar("fusion_compiled", can_ab ? 1.0 : 0.0);
     report.write(wallSeconds(wall0));
 
-    if (check && can_ab) {
+    if (check) {
         const double total_perhop_pps =
             bench::perSecond(total_packets, total_perhop_wall);
         const double speedup =

@@ -738,70 +738,6 @@ main(int argc, char **argv)
                          static_cast<double>(ws_detaches));
     }
 
-    // Admit-batch sweep: one adversarial trace replayed through the
-    // event-driven path at increasing arrival-batch sizes. All
-    // counts (drops included) are deterministic per batch size —
-    // only the rates move with the host — so the sweep doubles as a
-    // semantic pin on the batching refactor: processed == trace
-    // size at every width, with batch 1 reproducing the classic
-    // one-event-per-slot arrival process.
-    if (!opts.functionalOnly) {
-        workload::AdversarialConfig tcfg;
-        tcfg.tenants = opts.tenants;
-        tcfg.packets = opts.packets;
-        tcfg.seed = 42;
-        const trace::HyperTrace trace =
-            workload::makeAdversarialTrace(
-                workload::AdversarialPattern::UniformRandom, tcfg);
-        std::printf("%-16s %12s %10s %10s\n", "admit batch",
-                    "packets/s", "drops", "walks");
-        for (const unsigned batch : {1u, 4u, 16u}) {
-            double wall = 0.0;
-            uint64_t drops = 0;
-            uint64_t walks = 0;
-            for (unsigned rep = 0; rep < opts.reps; ++rep) {
-                core::SystemConfig cfg =
-                    core::SystemConfig::hypertrio();
-                cfg.admitBatch = batch;
-                core::System system(cfg);
-                const auto t0 = std::chrono::steady_clock::now();
-                const core::RunResults results = system.run(trace);
-                const double dt = wallSeconds(t0);
-                wall = rep == 0 ? dt : std::min(wall, dt);
-
-                HYPERSIO_ASSERT(results.packetsProcessed ==
-                                    trace.packets.size(),
-                                "batch %u processed %llu of %zu "
-                                "packets",
-                                batch,
-                                (unsigned long long)
-                                    results.packetsProcessed,
-                                trace.packets.size());
-                if (rep == 0) {
-                    drops = results.packetsDropped;
-                    walks = results.walks;
-                } else {
-                    HYPERSIO_ASSERT(
-                        results.packetsDropped == drops &&
-                            results.walks == walks,
-                        "batch-sweep counts drifted across reps");
-                }
-            }
-            const double pps =
-                bench::perSecond(trace.packets.size(), wall);
-            std::printf("%-16u %12.0f %10llu %10llu\n", batch, pps,
-                        (unsigned long long)drops,
-                        (unsigned long long)walks);
-            const std::string prefix =
-                "admit_batch_" + std::to_string(batch);
-            report.addScalar(prefix + "_packets_per_sec", pps);
-            report.addScalar(prefix + "_drop_events",
-                             static_cast<double>(drops));
-            report.addScalar(prefix + "_walks",
-                             static_cast<double>(walks));
-        }
-    }
-
     const double total_pps =
         bench::perSecond(total_packets, total_wall);
     const double total_fn_pps =

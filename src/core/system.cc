@@ -11,33 +11,27 @@ namespace hypersio::core
 {
 
 /**
- * Wires the device-to-chipset ports with PCIe latency on each hop:
- * demand path device → IOMMU → device (state pooled in _xlatePort),
- * prefetch path device → history reader (which later fills back
- * through its own callback).
+ * Builds `link`'s device with its ports wired through PCIe latency on
+ * each hop: demand path device → IOMMU → device (state pooled in the
+ * link's XlatePort), prefetch path device → history reader (which
+ * later fills back through its own callback).
  */
-DevicePorts
-System::makeDevicePorts()
+void
+System::buildDevice(Link &link)
 {
-    if (!_xlatePort) {
-        _xlatePort = std::make_unique<XlatePort>(
-            _queue, *_iommu, _historyReader.get(),
-            _config.pcieOneWay);
-    }
     DevicePorts ports;
-    ports.translate = [port = _xlatePort.get()](
+    ports.translate = [port = link.xlatePort.get()](
                           mem::DomainId did, mem::Iova iova,
                           mem::PageSize size, bool may_fuse,
                           DevicePorts::ResponseFn done) {
         port->translate(did, iova, size, may_fuse, std::move(done));
     };
-    if (_historyReader) {
-        ports.prefetch = [this](mem::DomainId did) {
-            _queue.scheduleAfter(
-                _config.pcieOneWay,
-                [reader = _historyReader.get(), did] {
-                    reader->prefetch(did);
-                });
+    if (link.historyReader) {
+        ports.prefetch = [this, reader = link.historyReader.get()](
+                             mem::DomainId did) {
+            _queue.scheduleAfter(_config.pcieOneWay, [reader, did] {
+                reader->prefetch(did);
+            });
         };
     }
     if (_config.device.prefetch.enabled &&
@@ -48,12 +42,12 @@ System::makeDevicePorts()
         // prefetch fill. The pending counter gates streaming-run
         // retirement for the issue-to-completion window; the return
         // hop is then covered by the fill wire counter.
-        ports.prefetchPage = [this](mem::DomainId did,
-                                    mem::Iova iova,
-                                    mem::PageSize size) {
+        ports.prefetchPage = [this, l = &link](mem::DomainId did,
+                                               mem::Iova iova,
+                                               mem::PageSize size) {
             ++_mmuPrefetchesInFlight[did];
             _queue.scheduleAfter(
-                _config.pcieOneWay, [this, did, iova, size]() {
+                _config.pcieOneWay, [this, l, did, iova, size]() {
                     iommu::IommuRequest req;
                     req.domain = did;
                     req.iova = iova;
@@ -61,7 +55,7 @@ System::makeDevicePorts()
                     req.prefetch = true;
                     _iommu->translate(
                         req,
-                        [this, did, iova,
+                        [this, l, did, iova,
                          size](const iommu::IommuResponse &resp) {
                             uint32_t *pending =
                                 _mmuPrefetchesInFlight.find(did);
@@ -73,40 +67,52 @@ System::makeDevicePorts()
                                 _mmuPrefetchesInFlight.erase(did);
                             if (resp.valid) {
                                 dispatchPrefetchFill(
-                                    did, iova, size,
+                                    *l, did, iova, size,
                                     resp.hostAddr);
                             }
                         });
                 });
         };
     }
-    return ports;
+    link.device = std::make_unique<Device>(
+        _config.device, _queue, *link.stats, std::move(ports),
+        _oracleFeed.get());
 }
 
 void
-System::dispatchPrefetchFill(mem::DomainId did, mem::Iova iova,
-                             mem::PageSize size, mem::Addr host_addr)
+System::dispatchPrefetchFill(Link &link, mem::DomainId did,
+                             mem::Iova iova, mem::PageSize size,
+                             mem::Addr host_addr)
 {
     ++_fillsInFlight[did];
     // The device records the fill as in flight now: an invalidate of
     // this page during the PCIe hop squashes the fill instead of
     // installing a stale translation.
-    _device->prefetchFillDispatched(did, iova, size);
+    Device *device = link.device.get();
+    device->prefetchFillDispatched(did, iova, size);
     _queue.scheduleAfter(
-        _config.pcieOneWay, [this, did, iova, size, host_addr]() {
+        _config.pcieOneWay,
+        [this, device, did, iova, size, host_addr]() {
             uint32_t *wire = _fillsInFlight.find(did);
             HYPERSIO_ASSERT(wire && *wire > 0,
                             "prefetch fill without a wire counter");
             --*wire;
-            _device->prefetchFill(did, iova, size, host_addr);
+            device->prefetchFill(did, iova, size, host_addr);
         });
 }
 
-System::System(const SystemConfig &config)
+System::System(const SystemConfig &config, unsigned num_devices)
     : _config(config), _stats("system"), _tables(config.seed)
 {
-    // Runtime leg of the event-fusion knob (the compile-time leg is
-    // -DHYPERSIO_EVENT_FUSION); results are bit-identical either
+    if (num_devices == 0)
+        fatal("a system needs at least one device");
+    const bool belady =
+        _config.device.devtlb.policy == cache::ReplPolicyKind::Oracle;
+    if (belady && num_devices > 1)
+        fatal("oracle DevTLB replacement is not supported in "
+              "multi-device mode");
+
+    // Runtime event-fusion knob; results are bit-identical either
     // way, so this only selects the kernel being measured.
     _queue.setFusionEnabled(_config.eventFusion);
     _memory = std::make_unique<mem::MemoryModel>(_config.memory,
@@ -114,29 +120,38 @@ System::System(const SystemConfig &config)
     _iommu = std::make_unique<iommu::Iommu>(
         _config.iommu, _queue, _stats, *_memory, _tables);
 
-    if (_config.device.prefetch.enabled &&
-        _config.device.prefetch.kind == PrefetchKind::SidPredictor) {
-        // The History Reader drives the paper's scheme; prefetch
-        // completions return to the device via dispatchPrefetchFill
-        // (the MmuDma mechanism has no reader — its completions come
-        // straight from the IOMMU in makeDevicePorts()).
-        auto fill = [this](mem::DomainId did, mem::Iova iova,
-                           mem::PageSize size, mem::Addr host_addr) {
-            dispatchPrefetchFill(did, iova, size, host_addr);
-        };
-        _historyReader = std::make_unique<HistoryReader>(
-            _config.device.prefetch, _queue, _stats, *_iommu,
-            *_memory, std::move(fill));
-    }
-
-    // With Belady replacement the device needs the future-knowledge
-    // feed, which is only available once run() sees the trace; the
-    // device is then built lazily there.
-    if (_config.device.devtlb.policy !=
-        cache::ReplPolicyKind::Oracle) {
-        _device = std::make_unique<Device>(_config.device, _queue,
-                                           _stats,
-                                           makeDevicePorts());
+    _links.reserve(num_devices);
+    for (unsigned d = 0; d < num_devices; ++d) {
+        Link &link = *_links.emplace_back(std::make_unique<Link>(*this));
+        link.stats = num_devices == 1
+                         ? &_stats
+                         : &_stats.child("dev" + std::to_string(d));
+        if (_config.device.prefetch.enabled &&
+            _config.device.prefetch.kind ==
+                PrefetchKind::SidPredictor) {
+            // The History Reader drives the paper's scheme; prefetch
+            // completions return to this link's device via
+            // dispatchPrefetchFill (the MmuDma mechanism has no
+            // reader — its completions come straight from the IOMMU,
+            // see buildDevice()).
+            auto fill = [this, l = &link](mem::DomainId did,
+                                          mem::Iova iova,
+                                          mem::PageSize size,
+                                          mem::Addr host_addr) {
+                dispatchPrefetchFill(*l, did, iova, size, host_addr);
+            };
+            link.historyReader = std::make_unique<HistoryReader>(
+                _config.device.prefetch, _queue, *link.stats, *_iommu,
+                *_memory, std::move(fill));
+        }
+        link.xlatePort = std::make_unique<XlatePort>(
+            _queue, *_iommu, link.historyReader.get(),
+            _config.pcieOneWay);
+        // With Belady replacement the device needs the
+        // future-knowledge feed, which is only available once run()
+        // sees the trace; the device is then built there.
+        if (!belady)
+            buildDevice(link);
     }
 }
 
@@ -164,18 +179,22 @@ System::buildOracleFeed(const trace::HyperTrace &trace)
     _oracleFeed = std::make_unique<cache::OracleFeed>(keys);
 }
 
+void
+System::beginRun()
+{
+    HYPERSIO_ASSERT(!_ran, "a System may only run once");
+    _ran = true;
+}
+
 RunResults
 System::run(const trace::HyperTrace &trace, bool bypass_translation)
 {
-    HYPERSIO_ASSERT(_cursor == 0 && _processed == 0,
-                    "System::run() may only be called once");
+    beginRun();
 
-    if (!_device) {
+    if (!_links.front()->device) {
         // Oracle-replacement run: build the feed, then the device.
         buildOracleFeed(trace);
-        _device = std::make_unique<Device>(
-            _config.device, _queue, _stats, makeDevicePorts(),
-            _oracleFeed.get());
+        buildDevice(*_links.front());
     }
 
     if (trace.packets.empty()) {
@@ -184,95 +203,27 @@ System::run(const trace::HyperTrace &trace, bool bypass_translation)
         return empty;
     }
 
-#ifdef HYPERSIO_CHECKED
-    // Auto-install a fail-fast differential oracle for this run
-    // unless one is already active on this thread (tests/fuzzing
-    // install their own collecting checker) or auto-checking is
-    // disabled (HYPERSIO_SHADOW=off).
-    std::unique_ptr<oracle::ShadowChecker> auto_checker;
-    std::optional<oracle::ShadowScope> shadow_scope;
-    if (!oracle::shadowChecker() &&
-        oracle::shadowAutoCheckEnabled() && !bypass_translation) {
-        auto_checker = std::make_unique<oracle::ShadowChecker>(
-            toShadowConfig(_config), &_tables, /*fail_fast=*/true);
-        shadow_scope.emplace(*auto_checker);
+    // One stream per link over that link's share of the trace.
+    const unsigned n = numDevices();
+    std::vector<trace::MaterializedStream> streams;
+    streams.reserve(n);
+    for (unsigned d = 0; d < n; ++d) {
+        streams.emplace_back(trace, n, d);
+        _links[d]->stream = &streams.back();
     }
-#endif
-
-    const Tick interval = _config.link.packetInterval();
-    const uint64_t total = trace.packets.size();
-    const unsigned batch = _config.admitBatch ? _config.admitBatch : 1;
-
-    // The link arrival process. At admitBatch == 1 (the default),
-    // one event per arrival slot — the classic process, event for
-    // event. Larger batches drain up to `batch` pending arrivals per
-    // dispatch and space events by the batch's summed serialization
-    // time; a PTB drop ends the batch (the dropped packet retries at
-    // the next arrival event). Packets with an explicit wire size
-    // occupy the link for their own serialization time (small
-    // packets arrive faster, leaving less time per translation).
-    std::function<void()> arrival = [&]() {
-        for (unsigned b = 0; b < batch && _cursor < total; ++b) {
-            const trace::PacketRecord &pkt = trace.packets[_cursor];
-
-            if (bypass_translation) {
-                // Native mode: no address translation at all.
-                ++_cursor;
-                ++_processed;
-                _bytesProcessed += wireBytesOf(pkt);
-                _lastCompletion = _queue.now();
-                continue;
-            }
-            if (_device->ptbFull()) {
-                // Dropped; the same packet retries next slot.
-                ++_dropped;
-                HYPERSIO_SHADOW(devicePacketDropped());
-                break;
-            }
-            applyOps(pkt, trace.ops.data() + pkt.opBegin);
-            ++_cursor;
-            _device->accept(pkt, *this);
-        }
-
-        if (_cursor < total) {
-            // The next arrival follows the serialization time of
-            // the packets now occupying the wire (the retried packet
-            // first on a drop, the next ones otherwise). Re-arm
-            // through a one-word reference so the arrival closure
-            // itself is never copied per slot.
-            Tick gap = 0;
-            const uint64_t ahead =
-                std::min<uint64_t>(batch, total - _cursor);
-            for (uint64_t i = 0; i < ahead; ++i) {
-                const Tick ser = serializationTicks(
-                    wireBytesOf(trace.packets[_cursor + i]),
-                    _config.link.gbps);
-                gap += ser == 0 ? interval : ser;
-            }
-            _queue.scheduleAfter(gap, [&arrival] { arrival(); });
-        }
-    };
-
-    _queue.schedule(0, [&arrival] { arrival(); });
-    _queue.run();
-
-    HYPERSIO_SHADOW(systemRunCompleted(
-        bypass_translation, _processed,
-        _device->translationsIssued(), _device->devtlbOccupancy(),
-        _device->prefetchBufferOccupancy(),
-        _iommu->iotlbOccupancy(), _iommu->l2Occupancy(),
-        _iommu->l3Occupancy(), _device->ptbInUse()));
-
-    return collectResults(wireBytesOf(trace.packets.front()));
+    return drive(bypass_translation,
+                 wireBytesOf(trace.packets.front()));
 }
 
 RunResults
 System::runStream(trace::PacketStream &stream,
                   const StreamRunOptions &opts)
 {
-    HYPERSIO_ASSERT(!_streamRan && _cursor == 0 && _processed == 0,
-                    "System::runStream() may only be called once");
-    _streamRan = true;
+    beginRun();
+    if (numDevices() != 1)
+        fatal("streaming runs drive a single device (this system "
+              "has %u)",
+              numDevices());
 
     // Fires before anything can panic so run-start hooks that
     // install PanicContext repro lines cover the whole run.
@@ -281,7 +232,7 @@ System::runStream(trace::PacketStream &stream,
     _snapshotEvery = opts.snapshotEveryPackets;
     _onSnapshot = opts.onSnapshot;
 
-    if (!_device) {
+    if (!_links.front()->device) {
         fatal("streaming runs do not support Oracle DevTLB "
               "replacement (the Belady feed needs the full trace "
               "up front)");
@@ -296,73 +247,38 @@ System::runStream(trace::PacketStream &stream,
         return empty;
     }
 
+    _links.front()->stream = &stream;
+    _evictStream = opts.evictDetached;
+    return drive(/*bypass_translation=*/false, wireBytesOf(*first));
+}
+
+RunResults
+System::drive(bool bypass_translation, uint64_t first_wire_bytes)
+{
 #ifdef HYPERSIO_CHECKED
-    // Same auto-installed differential oracle as run().
+    // Auto-install a fail-fast differential oracle for this run
+    // unless one is already active on this thread (tests/fuzzing
+    // install their own collecting checker) or auto-checking is
+    // disabled (HYPERSIO_SHADOW=off). The oracle models one device,
+    // so multi-device runs go unchecked.
     std::unique_ptr<oracle::ShadowChecker> auto_checker;
     std::optional<oracle::ShadowScope> shadow_scope;
-    if (!oracle::shadowChecker() &&
-        oracle::shadowAutoCheckEnabled()) {
+    if (numDevices() == 1 && !bypass_translation &&
+        !oracle::shadowChecker() && oracle::shadowAutoCheckEnabled()) {
         auto_checker = std::make_unique<oracle::ShadowChecker>(
             toShadowConfig(_config), &_tables, /*fail_fast=*/true);
         shadow_scope.emplace(*auto_checker);
     }
 #endif
 
-    _stream = &stream;
-    _evictStream = opts.evictDetached;
-    _streamInterval = _config.link.packetInterval();
-    const uint64_t first_bytes = wireBytesOf(*first);
-
-    // The arrival process mirrors run()'s slot for slot; the only
-    // difference is where the next packet comes from (and that a
-    // batch can also end early because the stream ran dry — only the
-    // head packet is peekable). A stream that runs dry while tenants
-    // await retirement (ChurnStream parked on a full SID space)
-    // parks the process; retirement completions re-arm it through
-    // maybeRestartStreamArrival().
-    const unsigned batch = _config.admitBatch ? _config.admitBatch : 1;
-    std::function<void()> arrival = [&]() {
-        HYPERSIO_ASSERT(_stream->peek(),
-                        "stream arrival fired without a packet");
-        for (unsigned b = 0; b < batch; ++b) {
-            const trace::PacketRecord *head = _stream->peek();
-            if (!head)
-                break;
-            if (_device->ptbFull()) {
-                // Dropped; the same packet retries next slot.
-                ++_dropped;
-                HYPERSIO_SHADOW(devicePacketDropped());
-                break;
-            }
-            // Copy the record out: advance() invalidates peek().
-            const trace::PacketRecord pkt = *head;
-            applyOps(pkt, _stream->ops());
-            ++_cursor;
-            if (_evictStream)
-                ++_outstanding[pkt.sid];
-            _stream->advance();
-            _device->accept(pkt, *this);
+    _bypass = bypass_translation;
+    for (const auto &link : _links) {
+        if (const trace::PacketRecord *head = link->stream->peek()) {
+            link->headSlot = slotTicks(*head);
+            _queue.schedule(0, [this, l = link.get()] { arrive(*l); });
         }
+    }
 
-        if (_evictStream)
-            serviceRetirements();
-
-        if (const trace::PacketRecord *next = _stream->peek()) {
-            // Only the head is visible, so the batch window is
-            // approximated as `batch` slots of the head's
-            // serialization time (exact at batch == 1).
-            const Tick ser = serializationTicks(
-                wireBytesOf(*next), _config.link.gbps);
-            const Tick slot = ser == 0 ? _streamInterval : ser;
-            _queue.scheduleAfter(slot * batch,
-                                 [&arrival] { arrival(); });
-        } else if (!_stream->exhausted()) {
-            _streamStalled = true;
-        }
-    };
-    _streamArrival = &arrival;
-
-    _queue.schedule(0, [&arrival] { arrival(); });
     for (;;) {
         _queue.run();
         if (!_evictStream)
@@ -373,43 +289,95 @@ System::runStream(trace::PacketStream &stream,
         HYPERSIO_ASSERT(_pendingRetire.empty(),
                         "tenants stuck awaiting retirement after "
                         "the queue drained");
-        if (_streamStalled && _stream->peek()) {
-            _streamStalled = false;
-            _queue.scheduleAfter(_streamInterval,
-                                 [&arrival] { arrival(); });
-            continue;
-        }
-        break;
+        if (!restartStalled(*_links.front()))
+            break;
     }
-    HYPERSIO_ASSERT(_stream->exhausted(),
-                    "streaming run ended with the stream unfinished");
-    _streamArrival = nullptr;
-    _stream = nullptr;
+    for (const auto &link : _links) {
+        HYPERSIO_ASSERT(link->stream->exhausted(),
+                        "run ended with a stream unfinished");
+        link->stream = nullptr;
+    }
 
-    HYPERSIO_SHADOW(systemRunCompleted(
-        /*bypass=*/false, _processed,
-        _device->translationsIssued(), _device->devtlbOccupancy(),
-        _device->prefetchBufferOccupancy(),
-        _iommu->iotlbOccupancy(), _iommu->l2Occupancy(),
-        _iommu->l3Occupancy(), _device->ptbInUse()));
+    if (numDevices() == 1) {
+        const Device &device = *_links.front()->device;
+        HYPERSIO_SHADOW(systemRunCompleted(
+            bypass_translation, _links.front()->processed,
+            device.translationsIssued(), device.devtlbOccupancy(),
+            device.prefetchBufferOccupancy(),
+            _iommu->iotlbOccupancy(), _iommu->l2Occupancy(),
+            _iommu->l3Occupancy(), device.ptbInUse()));
+    }
 
-    return collectResults(first_bytes);
+    return collectResults(first_wire_bytes);
 }
 
 void
-System::packetDone(const trace::PacketRecord &pkt)
+System::arrive(Link &link)
 {
-    ++_processed;
-    _bytesProcessed += wireBytesOf(pkt);
+    if (!_bypass && link.device->ptbFull()) {
+        // Dropped; the same packet retries next slot.
+        ++link.dropped;
+        HYPERSIO_SHADOW(devicePacketDropped());
+        if (_evictStream)
+            serviceRetirements();
+        _queue.scheduleAfter(link.headSlot,
+                             [this, l = &link] { arrive(*l); });
+        return;
+    }
+
+    const trace::PacketRecord *head = link.stream->peek();
+    HYPERSIO_ASSERT(head, "arrival fired without a packet");
+    // Copy the record out: advance() invalidates peek().
+    const trace::PacketRecord pkt = *head;
+    if (_bypass) {
+        // Native mode: no address translation at all.
+        link.stream->advance();
+        packetDone(link, pkt);
+    } else {
+        applyOps(link, pkt, link.stream->ops());
+        if (_evictStream)
+            ++_outstanding[pkt.sid];
+        link.stream->advance();
+        link.device->accept(pkt, link);
+    }
+    if (_evictStream)
+        serviceRetirements();
+
+    // The next packet arrives after it has serialized onto the wire
+    // (packets with an explicit wire size take their own time).
+    // A stream that runs dry while tenants await retirement
+    // (ChurnStream parked on a full SID space) parks the process;
+    // retirement completions re-arm it through restartStalled().
+    if (const trace::PacketRecord *next = link.stream->peek()) {
+        link.headSlot = slotTicks(*next);
+        _queue.scheduleAfter(link.headSlot,
+                             [this, l = &link] { arrive(*l); });
+    } else if (!link.stream->exhausted()) {
+        link.stalled = true;
+    }
+}
+
+void
+System::packetDone(Link &link, const trace::PacketRecord &pkt)
+{
+    ++link.processed;
+    link.bytes += wireBytesOf(pkt);
     _lastCompletion = _queue.now();
     // Streaming-run bookkeeping; _evictStream is never set by run().
-    if (_evictStream)
-        onStreamPacketDrained(pkt.sid);
+    if (_evictStream) {
+        uint32_t *count = _outstanding.find(pkt.sid);
+        HYPERSIO_ASSERT(count && *count > 0,
+                        "packet completion without an outstanding "
+                        "counter");
+        --*count;
+        serviceRetirements();
+        restartStalled(link);
+    }
     // After retirement bookkeeping, so a capture at this boundary
     // sees the stats with this completion fully applied.
-    if (_snapshotEvery != 0 && _processed % _snapshotEvery == 0 &&
+    if (_snapshotEvery != 0 && link.processed % _snapshotEvery == 0 &&
         _onSnapshot) {
-        _onSnapshot(*this, _processed);
+        _onSnapshot(*this, link.processed);
     }
 }
 
@@ -420,34 +388,61 @@ System::wireBytesOf(const trace::PacketRecord &pkt) const
                               : _config.link.packetBytes;
 }
 
+Tick
+System::slotTicks(const trace::PacketRecord &pkt) const
+{
+    const Tick ser =
+        serializationTicks(wireBytesOf(pkt), _config.link.gbps);
+    return ser == 0 ? _config.link.packetInterval() : ser;
+}
+
 RunResults
 System::collectResults(uint64_t first_wire_bytes)
 {
     RunResults results;
     results.configName = _config.name;
-    results.packetsProcessed = _processed;
-    results.packetsDropped = _dropped;
-    results.translations = _device->translationsIssued();
     // The first packet occupies the wire for one serialization
     // interval before its arrival event; include it so a perfectly
     // translated run reports exactly the nominal link rate.
     results.elapsed =
         _lastCompletion +
         serializationTicks(first_wire_bytes, _config.link.gbps);
-    results.achievedGbps =
-        achievedGbps(_bytesProcessed, results.elapsed);
-    results.utilization = results.achievedGbps / _config.link.gbps;
 
-    const auto &devtlb = _device->devtlbStats();
+    uint64_t devtlb_hits = 0;
+    uint64_t devtlb_lookups = 0;
+    uint64_t pb_hits = 0;
+    double latency_mean = 0.0;
+    double latency_weighted = 0.0; ///< sum of device mean x packets
+    for (const auto &link : _links) {
+        const Device &device = *link->device;
+        results.packetsProcessed += link->processed;
+        results.packetsDropped += link->dropped;
+        results.translations += device.translationsIssued();
+        // Links run side by side: the aggregate is the sum of each
+        // link's bandwidth over the common elapsed time.
+        results.achievedGbps +=
+            achievedGbps(link->bytes, results.elapsed);
+        devtlb_hits += device.devtlbStats().hits;
+        devtlb_lookups += device.devtlbStats().lookups;
+        pb_hits += device.pbHits();
+        const auto *lat =
+            link->stats->child("device").find("packet_latency_ns");
+        latency_mean = lat ? lat->value() : 0.0;
+        latency_weighted +=
+            latency_mean * static_cast<double>(link->processed);
+    }
+    results.utilization =
+        results.achievedGbps / (_config.link.gbps * numDevices());
+
     results.devtlbHitRate =
-        devtlb.lookups == 0
+        devtlb_lookups == 0
             ? 0.0
-            : static_cast<double>(devtlb.hits) /
-                  static_cast<double>(devtlb.lookups);
+            : static_cast<double>(devtlb_hits) /
+                  static_cast<double>(devtlb_lookups);
     results.pbHitRate =
         results.translations == 0
             ? 0.0
-            : static_cast<double>(_device->pbHits()) /
+            : static_cast<double>(pb_hits) /
                   static_cast<double>(results.translations);
     const auto &iotlb = _iommu->iotlbStats();
     results.iotlbHitRate =
@@ -461,14 +456,19 @@ System::collectResults(uint64_t first_wire_bytes)
     const auto *reqs = _stats.child("iommu").find("requests");
     results.iommuRequests =
         reqs ? static_cast<uint64_t>(reqs->value()) : 0;
-    const auto *lat =
-        _stats.child("device").find("packet_latency_ns");
-    results.avgPacketLatencyNs = lat ? lat->value() : 0.0;
+    // One device reports its own mean as is; N devices report the
+    // packet-weighted mean of theirs.
+    if (numDevices() == 1)
+        results.avgPacketLatencyNs = latency_mean;
+    else if (results.packetsProcessed != 0)
+        results.avgPacketLatencyNs =
+            latency_weighted /
+            static_cast<double>(results.packetsProcessed);
     return results;
 }
 
 void
-System::applyOps(const trace::PacketRecord &pkt,
+System::applyOps(Link &link, const trace::PacketRecord &pkt,
                  const trace::PageOp *ops)
 {
     const mem::DomainId did =
@@ -482,8 +482,9 @@ System::applyOps(const trace::PacketRecord &pkt,
         } else {
             table.unmap(op.pageBase);
             // Invalidate every cached copy of the dying translation:
-            // device TLB, prefetch buffer, and chipset IOTLB.
-            _device->invalidatePage(did, op.pageBase, op.size);
+            // device TLB, prefetch buffer, and chipset IOTLB. Only
+            // this link's device serves the tenant.
+            link.device->invalidatePage(did, op.pageBase, op.size);
             _iommu->invalidate(did, op.pageBase, op.size);
             HYPERSIO_SHADOW(
                 systemUnmapped(did, op.pageBase, op.size));
@@ -494,7 +495,7 @@ System::applyOps(const trace::PacketRecord &pkt,
 void
 System::serviceRetirements()
 {
-    _stream->drainDetached(_pendingRetire);
+    _links.front()->stream->drainDetached(_pendingRetire);
     if (_pendingRetire.empty())
         return;
     // Retire what can go; keep the rest in detach order. A SID may
@@ -532,10 +533,11 @@ System::tryRetireSid(trace::SourceId sid)
     });
     std::sort(dids, dids + ndids);
 
+    const HistoryReader *reader = historyReader();
     for (size_t i = 0; i < ndids; ++i) {
         const mem::DomainId did = dids[i];
         // Gate 2: no history-reader prefetch burst in flight.
-        if (_historyReader && _historyReader->prefetchInFlight(did))
+        if (reader && reader->prefetchInFlight(did))
             return false;
         // Gate 3: no prefetched translation on the PCIe wire.
         if (const uint32_t *wire = _fillsInFlight.find(did);
@@ -552,10 +554,11 @@ System::tryRetireSid(trace::SourceId sid)
 
     for (size_t i = 0; i < ndids; ++i)
         retireDomain(dids[i]);
-    _device->retireSid(sid);
+    Link &link = *_links.front();
+    link.device->retireSid(sid);
     _streamRetirements.push_back(
         {_queue.now(), _queue.scheduledSeq(), sid});
-    _stream->sidRetired(sid);
+    link.stream->sidRetired(sid);
     return true;
 }
 
@@ -567,6 +570,7 @@ System::retireDomain(mem::DomainId did)
     // mirrors retire in lock-step, then drop the table and the
     // chipset's access history. Mapping iteration order is
     // unspecified; sort for determinism.
+    Link &link = *_links.front();
     mem::PageTable *table = _tables.findExisting(did);
     HYPERSIO_ASSERT(table, "retiring a domain without a table");
     using PageRef = std::pair<mem::Iova, mem::PageSize>;
@@ -581,38 +585,29 @@ System::retireDomain(mem::DomainId did)
     for (size_t i = 0; i < npages; ++i) {
         const auto [base, size] = pages[i];
         table->unmap(base);
-        _device->invalidatePage(did, base, size);
+        link.device->invalidatePage(did, base, size);
         _iommu->invalidate(did, base, size);
         HYPERSIO_SHADOW(systemUnmapped(did, base, size));
     }
     _tables.erase(did);
-    if (_historyReader)
-        _historyReader->retire(did);
-    _device->retireDomain(did);
+    if (link.historyReader)
+        link.historyReader->retire(did);
+    link.device->retireDomain(did);
 }
 
-void
-System::onStreamPacketDrained(trace::SourceId sid)
+bool
+System::restartStalled(Link &link)
 {
-    uint32_t *count = _outstanding.find(sid);
-    HYPERSIO_ASSERT(count && *count > 0,
-                    "packet completion without an outstanding "
-                    "counter");
-    --*count;
-    serviceRetirements();
-    maybeRestartStreamArrival();
-}
-
-void
-System::maybeRestartStreamArrival()
-{
-    if (!_streamStalled || !_streamArrival)
-        return;
-    if (!_stream->peek())
-        return;
-    _streamStalled = false;
-    _queue.scheduleAfter(_streamInterval,
-                         [fn = _streamArrival] { (*fn)(); });
+    if (!link.stalled)
+        return false;
+    const trace::PacketRecord *head = link.stream->peek();
+    if (!head)
+        return false;
+    link.stalled = false;
+    link.headSlot = slotTicks(*head);
+    _queue.scheduleAfter(_config.link.packetInterval(),
+                         [this, l = &link] { arrive(*l); });
+    return true;
 }
 
 void

@@ -7,7 +7,9 @@
  * bandwidth and packet size; a packet that finds the PTB full is
  * dropped and retried at the next arrival slot. When the trace is
  * exhausted and all in-flight work drains, the achieved bandwidth is
- * total processed bytes divided by elapsed simulated time.
+ * total processed bytes divided by elapsed simulated time. Several
+ * links may share one chipset (multi-host sharing, Fig. 1); each
+ * runs this same arrival process.
  */
 
 #ifndef HYPERSIO_CORE_SYSTEM_HH
@@ -89,21 +91,39 @@ struct StreamRetirement
 };
 
 /**
- * One simulated system instance. Construct, then run() a trace.
- * run() may be called once per System (state is not reset between
- * traces; build a fresh System per experiment point).
+ * One simulated system: N device links (one device each, as in the
+ * paper's Fig. 1 multi-host sharing scenario) translating through one
+ * shared chipset — event queue, memory model, page tables, and IOMMU
+ * with its paging caches and walker. A single device is N = 1.
+ *
+ * Each link owns its Device, its PCIe port, its IOVA History Reader,
+ * and the arrival process that feeds it from a PacketStream; tenant t
+ * drives device t % N. Construct, then run() a trace or runStream() a
+ * stream — once per System (state is not reset between runs; build a
+ * fresh System per experiment point).
+ *
+ * Stats: an N = 1 system keeps the device under `system.device`; with
+ * N > 1 each link's components live under `system.devN`.
  */
-class System : private Device::CompletionSink
+class System
 {
   public:
-    explicit System(const SystemConfig &config);
+    /**
+     * @param num_devices device links sharing the chipset (>= 1;
+     *        Oracle DevTLB replacement needs exactly one)
+     */
+    explicit System(const SystemConfig &config,
+                    unsigned num_devices = 1);
     ~System();
 
     System(const System &) = delete;
     System &operator=(const System &) = delete;
 
     /**
-     * Simulates the full trace and returns the results.
+     * Simulates the full trace and returns the results. Packets of
+     * tenant t drive device t % N, in trace order. With N > 1 the
+     * bandwidth is the sum over links and the utilization is taken
+     * against N x the link rate.
      * @param bypass_translation "native" mode: packets complete at
      *        link rate without any address translation (used by the
      *        Fig. 5 motivation experiment)
@@ -112,14 +132,14 @@ class System : private Device::CompletionSink
                    bool bypass_translation = false);
 
     /**
-     * Simulates a lazily produced packet stream. With eviction off
-     * and a stream mirroring a materialized trace, the run is
-     * event-for-event identical to run() on that trace (same
-     * RunResults, same stats tree). With eviction on, tenants the
-     * stream detaches are fully retired — page tables erased,
-     * cached translations invalidated, history and predictor state
-     * dropped — keeping total state O(active tenants) regardless of
-     * the tenant population.
+     * Simulates a lazily produced packet stream on a single-device
+     * system. With eviction off and a stream mirroring a
+     * materialized trace, the run is event-for-event identical to
+     * run() on that trace (same RunResults, same stats tree). With
+     * eviction on, tenants the stream detaches are fully retired —
+     * page tables erased, cached translations invalidated, history
+     * and predictor state dropped — keeping total state O(active
+     * tenants) regardless of the tenant population.
      *
      * Not supported with Oracle DevTLB replacement (the Belady feed
      * needs the full trace up front).
@@ -135,6 +155,11 @@ class System : private Device::CompletionSink
 
     const SystemConfig &config() const { return _config; }
 
+    unsigned numDevices() const
+    {
+        return static_cast<unsigned>(_links.size());
+    }
+
     /** Dumps the full statistics tree of the last run. */
     void dumpStats(std::ostream &os) const;
 
@@ -145,46 +170,96 @@ class System : private Device::CompletionSink
     const stats::StatGroup &statsRoot() const { return _stats; }
 
     /** Direct access for tests. */
-    Device &device() { return *_device; }
+    Device &device(unsigned d = 0) { return *_links[d]->device; }
     iommu::Iommu &iommuUnit() { return *_iommu; }
     sim::EventQueue &eventQueue() { return _queue; }
     /** Read-only queue access (snapshot callbacks read now()). */
     const sim::EventQueue &eventQueue() const { return _queue; }
     /** The run's functional page tables (shadow checking, tests). */
     const iommu::PageTableDirectory &tables() const { return _tables; }
-    /** The chipset history reader, if prefetching is on (tests). */
+    /** Device 0's history reader, if prefetching is on (tests). */
     const HistoryReader *historyReader() const
     {
-        return _historyReader.get();
+        return _links.front()->historyReader.get();
     }
 
   private:
     /**
-     * Device completion (one sink for both run loops): bytes and SID
-     * come from the completed packet itself, so accept() needs no
-     * per-packet closure.
+     * One device link: the device with its chipset-side port and
+     * history reader, the stream feeding its arrival process, and
+     * its completion counters. It is the device's completion sink,
+     * so accept() needs no per-packet closure.
      */
-    void packetDone(const trace::PacketRecord &pkt) override;
+    struct Link final : Device::CompletionSink
+    {
+        explicit Link(System &owner) : system(owner) {}
+        // Callbacks in the event queue hold the link's address.
+        Link(const Link &) = delete;
+        Link &operator=(const Link &) = delete;
 
-    void applyOps(const trace::PacketRecord &pkt,
+        void
+        packetDone(const trace::PacketRecord &pkt) override
+        {
+            system.packetDone(*this, pkt);
+        }
+
+        System &system;
+        /** `system` for N = 1, `system.devN` otherwise. */
+        stats::StatGroup *stats = nullptr;
+        std::unique_ptr<HistoryReader> historyReader;
+        std::unique_ptr<XlatePort> xlatePort;
+        std::unique_ptr<Device> device;
+
+        /** The run's packet source (null outside a run). */
+        trace::PacketStream *stream = nullptr;
+        /**
+         * Serialization slot of the stream's head packet, cached when
+         * it becomes head: the head cannot change before advance(),
+         * so drop slots re-arm without calling into the stream.
+         */
+        Tick headSlot = 0;
+        /** Stream ran dry awaiting retirements (arrivals parked). */
+        bool stalled = false;
+
+        uint64_t processed = 0;
+        uint64_t dropped = 0;
+        uint64_t bytes = 0;
+    };
+
+    /**
+     * The link arrival process — the only one. Admits the head
+     * packet, or drops it when the PTB is full (it retries next
+     * slot), and re-arms after the head packet's serialization time.
+     */
+    void arrive(Link &link);
+    /** Runs every link's stream to exhaustion (shared by both runs). */
+    RunResults drive(bool bypass_translation, uint64_t first_wire_bytes);
+    /** The run-once guard shared by run() and runStream(). */
+    void beginRun();
+    /** Device completion of one of `link`'s packets. */
+    void packetDone(Link &link, const trace::PacketRecord &pkt);
+
+    void applyOps(Link &link, const trace::PacketRecord &pkt,
                   const trace::PageOp *ops);
     void buildOracleFeed(const trace::HyperTrace &trace);
-    /** Wires the device-to-chipset ports through _xlatePort. */
-    DevicePorts makeDevicePorts();
+    /** Builds `link`'s device, wired to the chipset through its port. */
+    void buildDevice(Link &link);
     /**
-     * Sends a completed prefetch translation back to the device over
-     * PCIe, with the per-DID wire counter and the device's squash
-     * record maintained — shared by the History-Reader fill path and
-     * the MMU-prefetch completion path.
+     * Sends a completed prefetch translation back to `link`'s device
+     * over PCIe, with the per-DID wire counter and the device's
+     * squash record maintained — shared by the History-Reader fill
+     * path and the MMU-prefetch completion path.
      */
-    void dispatchPrefetchFill(mem::DomainId did, mem::Iova iova,
-                              mem::PageSize size,
+    void dispatchPrefetchFill(Link &link, mem::DomainId did,
+                              mem::Iova iova, mem::PageSize size,
                               mem::Addr host_addr);
     uint64_t wireBytesOf(const trace::PacketRecord &pkt) const;
-    /** Results from the run counters (shared by run/runStream). */
+    /** Link occupancy of one packet (nominal slot if it rounds to 0). */
+    Tick slotTicks(const trace::PacketRecord &pkt) const;
+    /** Results from the link counters (shared by run/runStream). */
     RunResults collectResults(uint64_t first_wire_bytes);
 
-    // ---- Streaming-run eviction machinery ----------------------------
+    // ---- Streaming-run eviction machinery (N = 1) ----------------------
     /** Drains detach notices and retires every SID that can go. */
     void serviceRetirements();
     /**
@@ -194,10 +269,11 @@ class System : private Device::CompletionSink
     bool tryRetireSid(trace::SourceId sid);
     /** Tears down one domain through the regular unmap path. */
     void retireDomain(mem::DomainId did);
-    /** Completion bookkeeping of a streaming-run packet. */
-    void onStreamPacketDrained(trace::SourceId sid);
-    /** Re-arms the arrival process after a stall, if unparked. */
-    void maybeRestartStreamArrival();
+    /**
+     * Re-arms a stalled link whose stream has a packet again.
+     * @return true when the arrival process restarted
+     */
+    bool restartStalled(Link &link);
 
     SystemConfig _config;
     sim::EventQueue _queue;
@@ -205,28 +281,19 @@ class System : private Device::CompletionSink
     std::unique_ptr<mem::MemoryModel> _memory;
     iommu::PageTableDirectory _tables;
     std::unique_ptr<iommu::Iommu> _iommu;
-    std::unique_ptr<HistoryReader> _historyReader;
-    std::unique_ptr<XlatePort> _xlatePort;
     std::unique_ptr<cache::OracleFeed> _oracleFeed;
-    std::unique_ptr<Device> _device;
+    std::vector<std::unique_ptr<Link>> _links;
 
-    // Link/run state.
-    uint64_t _cursor = 0;
-    uint64_t _processed = 0;
-    uint64_t _dropped = 0;
-    uint64_t _bytesProcessed = 0;
+    // Run state.
+    bool _ran = false;
+    bool _bypass = false;
     Tick _lastCompletion = 0;
 
     // Streaming-run state (runStream only; inert during run()).
-    trace::PacketStream *_stream = nullptr;
     bool _evictStream = false;
-    bool _streamStalled = false;
-    bool _streamRan = false;
-    Tick _streamInterval = 0;
     /** Snapshot cadence/hook of the active streaming run. */
     uint64_t _snapshotEvery = 0;
     std::function<void(const System &, uint64_t)> _onSnapshot;
-    std::function<void()> *_streamArrival = nullptr;
     /** In-flight (accepted, not completed) packets per SID. */
     util::FlatMap<trace::SourceId, uint32_t> _outstanding;
     /** Detached SIDs awaiting retirement, in detach order. */

@@ -29,8 +29,8 @@
  * the event-per-hop schedule. Fusion is refused whenever any pending
  * event would fire at or before the hop's tick, so fused work can
  * never run ahead of (or tie with) a legacy event — interleaving is
- * bit-identical by construction. -DHYPERSIO_EVENT_FUSION=OFF
- * compiles the fast path away entirely.
+ * bit-identical by construction. SystemConfig::eventFusion turns the
+ * fast path off at run time (setFusionEnabled).
  */
 
 #ifndef HYPERSIO_SIM_EVENT_QUEUE_HH
@@ -97,18 +97,6 @@ class EventQueue
      */
     static constexpr size_t CallbackInlineSize = 48;
 
-    /**
-     * True when the fused hit path is compiled in (the default).
-     * -DHYPERSIO_EVENT_FUSION=OFF pins the event-per-hop reference
-     * kernel; scripts/check_repo.sh gate 12 builds both and requires
-     * every deterministic bench count to match exactly.
-     */
-#ifdef HYPERSIO_NO_EVENT_FUSION
-    static constexpr bool FusionCompiledIn = false;
-#else
-    static constexpr bool FusionCompiledIn = true;
-#endif
-
     EventQueue() = default;
 
     EventQueue(const EventQueue &) = delete;
@@ -133,9 +121,9 @@ class EventQueue
 
     /**
      * Sequence number of the most recently scheduled event. Part of
-     * the kernel's total order (tick, priority, seq); the sharded
-     * MultiSystem reuses it as the deterministic tie-breaker when
-     * merging per-shard timelines.
+     * the kernel's total order (tick, priority, seq);
+     * ShardedMultiSystem reuses it as the deterministic tie-breaker
+     * when merging per-shard timelines.
      */
     uint64_t scheduledSeq() const { return _nextSeq; }
 
@@ -150,14 +138,9 @@ class EventQueue
 
     /**
      * Enables/disables the fused fast path at runtime (tests compare
-     * fused and unfused runs inside one binary). A no-op when fusion
-     * is compiled out; on() then keeps reporting false.
+     * fused and unfused runs inside one binary).
      */
-    void
-    setFusionEnabled(bool on)
-    {
-        _fusionEnabled = on && FusionCompiledIn;
-    }
+    void setFusionEnabled(bool on) { _fusionEnabled = on; }
     bool fusionEnabled() const { return _fusionEnabled; }
 
     /** Hop events elided by tryFuseAdvance() so far (diagnostics
@@ -188,10 +171,6 @@ class EventQueue
     bool
     tryFuseAdvance(Tick delay)
     {
-#ifdef HYPERSIO_NO_EVENT_FUSION
-        (void)delay;
-        return false;
-#else
         if (!_fusionEnabled || !_inRun)
             return false;
         const Tick when = _now + delay;
@@ -207,7 +186,6 @@ class EventQueue
         ++_fusedHops;
         _now = when;
         return true;
-#endif
     }
 
     /**
@@ -571,7 +549,7 @@ class EventQueue
     /** run()'s `limit` while a run is in progress (fusion horizon). */
     Tick _runLimit = MaxTick;
     bool _inRun = false;
-    bool _fusionEnabled = FusionCompiledIn;
+    bool _fusionEnabled = true;
 };
 
 } // namespace hypersio::sim

@@ -91,13 +91,22 @@ class PacketStream
  * Adapter presenting a materialized HyperTrace through the stream
  * interface. runStream(MaterializedStream(t)) is event-for-event
  * identical to run(t); the equivalence tests lean on this.
+ *
+ * With `devices` = N > 1 the stream presents only device `device`'s
+ * share of the trace — the packets whose SID is `device` mod N, in
+ * trace order — which is how System::run() feeds each link of a
+ * multi-device system.
  */
 class MaterializedStream : public PacketStream
 {
   public:
-    explicit MaterializedStream(const HyperTrace &trace)
-        : _trace(trace)
-    {}
+    explicit MaterializedStream(const HyperTrace &trace,
+                                unsigned devices = 1,
+                                unsigned device = 0)
+        : _trace(trace), _devices(devices), _device(device)
+    {
+        skipForeign();
+    }
 
     const PacketRecord *
     peek() override
@@ -114,7 +123,12 @@ class MaterializedStream : public PacketStream
         return _trace.ops.data() + pkt.opBegin;
     }
 
-    void advance() override { ++_cursor; }
+    void
+    advance() override
+    {
+        ++_cursor;
+        skipForeign();
+    }
 
     bool exhausted() override
     {
@@ -124,7 +138,21 @@ class MaterializedStream : public PacketStream
     uint32_t numTenants() const override { return _trace.numTenants; }
 
   private:
+    /** Moves the cursor past packets of other devices' tenants. */
+    void
+    skipForeign()
+    {
+        if (_devices == 1)
+            return;
+        while (_cursor < _trace.packets.size() &&
+               _trace.packets[_cursor].sid % _devices != _device) {
+            ++_cursor;
+        }
+    }
+
     const HyperTrace &_trace;
+    unsigned _devices;
+    unsigned _device;
     size_t _cursor = 0;
 };
 

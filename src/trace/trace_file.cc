@@ -102,10 +102,24 @@ readPackets(std::ifstream &in, uint64_t npackets, uint64_t nops,
             std::vector<PacketRecord> &pkts, std::vector<PageOp> &ops,
             const std::string &path)
 {
+    // The header's counts are untrusted: check them against the bytes
+    // actually left in the file before sizing anything by them.
+    const std::streamoff body = in.tellg();
+    in.seekg(0, std::ios::end);
+    const auto left = static_cast<uint64_t>(in.tellg() - body);
+    in.seekg(body);
+    if (npackets > left / sizeof(PacketWire) ||
+        nops > (left - npackets * sizeof(PacketWire)) / sizeof(OpWire)) {
+        fatal("truncated trace file '%s' (header declares %llu "
+              "packets and %llu page ops, %llu bytes follow)",
+              path.c_str(), (unsigned long long)npackets,
+              (unsigned long long)nops, (unsigned long long)left);
+    }
+
     // Bulk-read each wire array with one sized read instead of one
-    // stream extraction per record, then convert in memory. The
-    // malformed-input checks are unchanged: a short read is a
-    // truncated file, an out-of-range page size a corrupt one.
+    // stream extraction per record, then convert in memory. A short
+    // read is a truncated file; an op range past the op array or an
+    // out-of-range page size is a corrupt one.
     std::vector<PacketWire> pkt_wire(npackets);
     if (npackets > 0) {
         in.read(reinterpret_cast<char *>(pkt_wire.data()),
@@ -115,8 +129,16 @@ readPackets(std::ifstream &in, uint64_t npackets, uint64_t nops,
             fatal("truncated trace file '%s'", path.c_str());
     }
     pkts.reserve(npackets);
-    for (const PacketWire &w : pkt_wire)
+    for (const PacketWire &w : pkt_wire) {
+        if (uint64_t{w.opBegin} + w.opCount > nops) {
+            fatal("corrupt trace file '%s': page ops [%u, %llu) of a "
+                  "packet lie past the %llu ops in the file",
+                  path.c_str(), w.opBegin,
+                  (unsigned long long)(uint64_t{w.opBegin} + w.opCount),
+                  (unsigned long long)nops);
+        }
         pkts.push_back(fromWire(w));
+    }
 
     std::vector<OpWire> op_wire(nops);
     if (nops > 0) {
@@ -183,6 +205,13 @@ loadTrace(const std::string &path)
     trace.seed = hdr.seed;
     readPackets(in, hdr.npackets, hdr.nops, trace.packets, trace.ops,
                 path);
+    for (const PacketRecord &pkt : trace.packets) {
+        if (pkt.sid >= trace.numTenants) {
+            fatal("corrupt trace file '%s': packet SID %u is not "
+                  "below the trace's %u tenants",
+                  path.c_str(), pkt.sid, trace.numTenants);
+        }
+    }
     return trace;
 }
 

@@ -380,8 +380,6 @@ TEST(EventQueueDeathTest, ScheduleAfterOverflowPanics)
 
 TEST(EventQueueDeathTest, FusedHopOverflowPanics)
 {
-    if (!EventQueue::FusionCompiledIn)
-        GTEST_SKIP() << "fusion compiled out";
     EXPECT_DEATH(
         {
             EventQueue q;
@@ -403,8 +401,6 @@ TEST(EventQueueFusion, RefusesOutsideRun)
 
 TEST(EventQueueFusion, WarpsNowAndBurnsExactlyOneSeq)
 {
-    if (!EventQueue::FusionCompiledIn)
-        GTEST_SKIP() << "fusion compiled out";
     EventQueue q;
     Tick fused_at = 0;
     uint64_t seq_before = 0;
@@ -432,8 +428,6 @@ TEST(EventQueueFusion, WarpsNowAndBurnsExactlyOneSeq)
 // ordered it last. Strictly-later pending work is safe.
 TEST(EventQueueFusion, RefusesUnlessHeapTopStrictlyLater)
 {
-    if (!EventQueue::FusionCompiledIn)
-        GTEST_SKIP() << "fusion compiled out";
     EventQueue q;
     bool other_ran = false;
     q.schedule(12, [&] { other_ran = true; });
@@ -452,8 +446,6 @@ TEST(EventQueueFusion, RefusesUnlessHeapTopStrictlyLater)
 // later live event, and skipping fusion is the safe direction.
 TEST(EventQueueFusion, RefusesOnTombstonedTop)
 {
-    if (!EventQueue::FusionCompiledIn)
-        GTEST_SKIP() << "fusion compiled out";
     EventQueue q;
     EventHandle dead = q.schedule(12, [] {});
     q.schedule(10, [&] { EXPECT_FALSE(q.tryFuseAdvance(2)); });
@@ -466,8 +458,6 @@ TEST(EventQueueFusion, RefusesOnTombstonedTop)
 // limit would instead execute its continuation, so it must refuse.
 TEST(EventQueueFusion, RefusesPastRunLimit)
 {
-    if (!EventQueue::FusionCompiledIn)
-        GTEST_SKIP() << "fusion compiled out";
     EventQueue q;
     q.schedule(10, [&] {
         EXPECT_FALSE(q.tryFuseAdvance(6)); // 16 past the limit
@@ -490,11 +480,8 @@ TEST(EventQueueFusion, RuntimeKnobDisablesAndReenables)
         fused += q.tryFuseAdvance(1) ? 1 : 0;
     });
     q.run();
-    // Re-enabling only takes effect when fusion is compiled in; the
-    // knob never reports (or does) more than the build allows.
-    const int expect = EventQueue::FusionCompiledIn ? 1 : 0;
-    EXPECT_EQ(fused, expect);
-    EXPECT_EQ(q.fusedHops(), static_cast<uint64_t>(expect));
+    EXPECT_EQ(fused, 1);
+    EXPECT_EQ(q.fusedHops(), 1u);
 }
 
 // End-to-end ledger parity: a chain run with fusion (fall back when
@@ -527,11 +514,8 @@ TEST(EventQueueFusion, ChainLedgerMatchesEventPerHop)
     const auto b = drive(perhop, false);
     EXPECT_EQ(a, b);
     EXPECT_EQ(perhop.fusedHops(), 0u);
-    if (EventQueue::FusionCompiledIn) {
-        EXPECT_GT(fused.fusedHops(), 0u);
-        EXPECT_EQ(perhop.executed(),
-                  fused.executed() + fused.fusedHops());
-    }
+    EXPECT_GT(fused.fusedHops(), 0u);
+    EXPECT_EQ(perhop.executed(), fused.executed() + fused.fusedHops());
 }
 
 } // namespace

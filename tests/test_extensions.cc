@@ -3,15 +3,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <string>
 
-#include "core/multi_system.hh"
 #include "core/overrides.hh"
 #include "core/system.hh"
+#include "stats/stats.hh"
 #include "trace/constructor.hh"
+#include "trace/stream.hh"
 #include "trace/trace_file.hh"
+#include "workload/adversarial.hh"
 #include "workload/benchmarks.hh"
 
 namespace hypersio::core
@@ -97,36 +101,106 @@ smallTrace(unsigned tenants)
                                  trace::parseInterleaving("RR1"));
 }
 
-TEST(MultiSystemTest, SingleDeviceMatchesSystem)
+/**
+ * One stat of the tree by its dotted path below the root, e.g.
+ * "dev1.device.packets"; fails the test when it does not exist.
+ */
+double
+statAt(const stats::StatGroup &root, const std::string &path)
 {
-    const auto tr = smallTrace(8);
-    System single(SystemConfig::hypertrio());
-    MultiSystem multi(SystemConfig::hypertrio(), 1);
-    const RunResults rs = single.run(tr);
-    const MultiRunResults rm = multi.run(tr);
-    EXPECT_EQ(rm.packetsProcessed, rs.packetsProcessed);
-    EXPECT_NEAR(rm.totalGbps, rs.achievedGbps,
-                rs.achievedGbps * 0.01);
+    const stats::StatGroup *group = &root;
+    size_t begin = 0;
+    for (size_t dot; (dot = path.find('.', begin)) != std::string::npos;
+         begin = dot + 1) {
+        const std::string name = path.substr(begin, dot - begin);
+        const stats::StatGroup *next = nullptr;
+        group->forEachChild([&](const stats::StatGroup &c) {
+            if (c.name() == name)
+                next = &c;
+        });
+        if (!next) {
+            ADD_FAILURE() << "no stat group " << name << " in " << path;
+            return 0.0;
+        }
+        group = next;
+    }
+    const stats::StatBase *stat = group->find(path.substr(begin));
+    if (!stat) {
+        ADD_FAILURE() << "no stat " << path;
+        return 0.0;
+    }
+    return stat->value();
+}
+
+/**
+ * Regression for the multi-device arrival loop drifting from the
+ * single-device one (it ignored per-packet wire sizes). With every
+ * SID even, a 2-device system routes the whole trace to device 0:
+ * device 1 stays idle and the shared IOMMU sees exactly the traffic
+ * of a 1-device system, so every count must match — on a trace
+ * where 30% of packets are 256 B, with and without PTB drops.
+ */
+TEST(MultiSystemTest, IdleSecondDeviceMatchesSingleDevice)
+{
+    workload::AdversarialConfig tc;
+    tc.tenants = 12;
+    tc.packets = 1500;
+    tc.seed = 11;
+    trace::HyperTrace tr = workload::makeAdversarialTrace(
+        workload::AdversarialPattern::UniformRandom, tc);
+    for (auto &pkt : tr.packets)
+        pkt.sid *= 2;
+    tr.numTenants *= 2;
+    ASSERT_TRUE(std::any_of(tr.packets.begin(), tr.packets.end(),
+                            [](const trace::PacketRecord &p) {
+                                return p.wireBytes == 256;
+                            }));
+
+    for (const SystemConfig &config :
+         {SystemConfig::base(), SystemConfig::hypertrio()}) {
+        System one(config);
+        System two(config, 2);
+        const RunResults r1 = one.run(tr);
+        const RunResults r2 = two.run(tr);
+        SCOPED_TRACE(config.name);
+        EXPECT_EQ(r2.packetsProcessed, tr.packets.size());
+        EXPECT_EQ(r2.packetsProcessed, r1.packetsProcessed);
+        EXPECT_EQ(r2.packetsDropped, r1.packetsDropped);
+        EXPECT_EQ(r2.translations, r1.translations);
+        EXPECT_EQ(r2.walks, r1.walks);
+        EXPECT_EQ(r2.iommuRequests, r1.iommuRequests);
+        EXPECT_EQ(r2.elapsed, r1.elapsed);
+        EXPECT_GT(r1.packetsDropped, 0u);
+        EXPECT_EQ(statAt(two.statsRoot(), "dev0.device.packets"),
+                  static_cast<double>(tr.packets.size()));
+        EXPECT_EQ(statAt(two.statsRoot(), "dev1.device.packets"), 0.0);
+    }
 }
 
 TEST(MultiSystemTest, ProcessesAllPacketsAcrossDevices)
 {
     const auto tr = smallTrace(16);
-    MultiSystem multi(SystemConfig::hypertrio(), 4);
-    const MultiRunResults r = multi.run(tr);
+    System multi(SystemConfig::hypertrio(), 4);
+    const RunResults r = multi.run(tr);
     EXPECT_EQ(r.packetsProcessed, tr.packets.size());
-    ASSERT_EQ(r.perDeviceGbps.size(), 4u);
-    for (double gbps : r.perDeviceGbps)
-        EXPECT_GT(gbps, 0.0);
+    double accepted = 0.0;
+    for (unsigned d = 0; d < 4; ++d) {
+        const double packets = statAt(
+            multi.statsRoot(),
+            "dev" + std::to_string(d) + ".device.packets");
+        EXPECT_GT(packets, 0.0) << "device " << d;
+        accepted += packets;
+    }
+    EXPECT_EQ(accepted, static_cast<double>(tr.packets.size()));
 }
 
 TEST(MultiSystemTest, AggregateBandwidthScalesWithDevices)
 {
     const auto tr = smallTrace(32);
-    MultiSystem one(SystemConfig::hypertrio(), 1);
-    MultiSystem four(SystemConfig::hypertrio(), 4);
-    const double g1 = one.run(tr).totalGbps;
-    const double g4 = four.run(tr).totalGbps;
+    System one(SystemConfig::hypertrio(), 1);
+    System four(SystemConfig::hypertrio(), 4);
+    const double g1 = one.run(tr).achievedGbps;
+    const double g4 = four.run(tr).achievedGbps;
     // Four links carry strictly more aggregate traffic.
     EXPECT_GT(g4, g1 * 2.0);
 }
@@ -134,10 +208,57 @@ TEST(MultiSystemTest, AggregateBandwidthScalesWithDevices)
 TEST(MultiSystemTest, UtilizationNormalisedToDeviceCount)
 {
     const auto tr = smallTrace(16);
-    MultiSystem multi(SystemConfig::hypertrio(), 2);
-    const MultiRunResults r = multi.run(tr);
+    System multi(SystemConfig::hypertrio(), 2);
+    const RunResults r = multi.run(tr);
     EXPECT_LE(r.utilization, 1.0 + 1e-9);
     EXPECT_GT(r.utilization, 0.0);
+}
+
+TEST(MultiSystemDeathTest, StreamingNeedsASingleDevice)
+{
+    const auto tr = smallTrace(4);
+    EXPECT_DEATH(
+        {
+            System multi(SystemConfig::hypertrio(), 2);
+            trace::MaterializedStream stream(tr);
+            multi.runStream(stream);
+        },
+        "streaming runs drive a single device");
+}
+
+TEST(MultiSystemDeathTest, SystemRunsOnlyOnce)
+{
+    const auto tr = smallTrace(4);
+    EXPECT_DEATH(
+        {
+            System system(SystemConfig::hypertrio());
+            system.run(tr);
+            system.run(tr);
+        },
+        "may only run once");
+    EXPECT_DEATH(
+        {
+            System system(SystemConfig::hypertrio(), 2);
+            system.run(tr);
+            system.run(tr);
+        },
+        "may only run once");
+    EXPECT_DEATH(
+        {
+            System system(SystemConfig::hypertrio());
+            trace::MaterializedStream stream(tr);
+            system.runStream(stream);
+            system.run(tr);
+        },
+        "may only run once");
+    EXPECT_DEATH(
+        {
+            System system(SystemConfig::hypertrio());
+            system.run(trace::HyperTrace{});
+            trace::MaterializedStream stream(tr);
+            system.runStream(stream);
+        },
+        "may only run once");
 }
 
 TEST(WireBytes, SmallPacketsShortenArrivalIntervals)

@@ -307,10 +307,12 @@ TEST(TenantEviction, ChurnRetiresEveryTenantAndFreesAllState)
     EXPECT_EQ(system.historyReader()->historySize(), 0u);
 }
 
-TEST(TenantEviction, BatchedStreamAdmissionRetiresEveryTenant)
+TEST(TenantEviction, DropRetryStreamAdmissionRetiresEveryTenant)
 {
-    // Batched arrivals change event timing, never the packet set:
-    // every virtual tenant must still attach, drain, and retire.
+    // A one-entry PTB makes most arrival slots drops, which re-arm
+    // from the head packet's cached slot without touching the
+    // stream: every virtual tenant must still attach, drain, and
+    // retire, and no packet may be lost to a drop.
     workload::ChurnConfig cfg;
     cfg.population = 120;
     cfg.slots = 8;
@@ -321,12 +323,13 @@ TEST(TenantEviction, BatchedStreamAdmissionRetiresEveryTenant)
     cfg.tailMax = 400;
 
     core::SystemConfig sys_cfg = core::SystemConfig::hypertrio();
-    sys_cfg.admitBatch = 4;
+    sys_cfg.device.ptbEntries = 1;
     core::System system(sys_cfg);
     workload::ChurnStream churn(cfg);
     const core::RunResults results = system.runStream(churn);
 
-    EXPECT_GT(results.packetsProcessed, 0u);
+    EXPECT_GT(results.packetsDropped, 0u);
+    EXPECT_EQ(results.packetsProcessed, churn.produced());
     EXPECT_EQ(churn.attaches(), cfg.population);
     EXPECT_EQ(system.streamRetirements().size(), cfg.population);
     EXPECT_EQ(system.tables().size(), 0u);

@@ -155,48 +155,6 @@ TEST(System, DropsOnlyHappenWhenPtbIsSmall)
     EXPECT_EQ(r_large.packetsDropped, 0u);
 }
 
-TEST(System, AdmitBatchZeroIsTreatedAsOne)
-{
-    // 0 is the "unset" spelling; both must replay the classic
-    // one-event-per-slot arrival process, event for event.
-    const auto tr = makeTrace(8, "RAND1");
-    SystemConfig one = SystemConfig::hypertrio();
-    one.admitBatch = 1;
-    SystemConfig zero = SystemConfig::hypertrio();
-    zero.admitBatch = 0;
-    System a(one), b(zero);
-    EXPECT_EQ(a.run(tr), b.run(tr));
-}
-
-TEST(System, BatchedAdmissionConservesPackets)
-{
-    const auto tr = makeTrace(8, "RAND1");
-    for (unsigned batch : {2u, 4u, 16u}) {
-        SystemConfig config = SystemConfig::hypertrio();
-        config.admitBatch = batch;
-        System system(config);
-        const RunResults r = system.run(tr);
-        EXPECT_EQ(r.packetsProcessed, tr.packets.size())
-            << "batch " << batch;
-        EXPECT_EQ(r.translations, tr.packets.size() * 3)
-            << "batch " << batch;
-    }
-}
-
-TEST(System, BatchedAdmissionSurvivesTinyPtb)
-{
-    // A full PTB ends the batch early and the packet retries at the
-    // next arrival event — drops are events, never lost packets.
-    const auto tr = makeTrace(32);
-    SystemConfig config = SystemConfig::base();
-    config.device.ptbEntries = 1;
-    config.admitBatch = 8;
-    System system(config);
-    const RunResults r = system.run(tr);
-    EXPECT_GT(r.packetsDropped, 0u);
-    EXPECT_EQ(r.packetsProcessed, tr.packets.size());
-}
-
 TEST(System, DeterministicAcrossRuns)
 {
     const auto tr = makeTrace(16, "RAND1");

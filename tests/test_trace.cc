@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 
 #include "trace/constructor.hh"
@@ -233,6 +234,61 @@ TEST_F(TraceFileTest, TenantLogRoundTrip)
     ASSERT_EQ(loaded.packets.size(), 8u);
     EXPECT_EQ(loaded.translations(), 24u);
     EXPECT_EQ(loaded.ops.size(), original.ops.size());
+}
+
+/**
+ * Overwrites `value` at byte `offset` of the file (corrupting one
+ * field of a trace written by saveTrace()).
+ */
+template <typename T>
+void
+patchFile(const std::filesystem::path &path, std::streamoff offset,
+          T value)
+{
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(offset);
+    f.write(reinterpret_cast<const char *>(&value), sizeof(value));
+}
+
+// Byte offsets in the version-3 layout: the 40-byte header
+// (magic, version, kind, tenants: u32; seed, npackets, nops: u64),
+// then 48-byte packets (sid, opBegin: u32; ...).
+constexpr std::streamoff HeaderNpackets = 24;
+constexpr std::streamoff FirstPacketSid = 40;
+constexpr std::streamoff FirstPacketOpBegin = 44;
+
+using TraceFileDeathTest = TraceFileTest;
+
+TEST_F(TraceFileDeathTest, HugePacketCountFailsBeforeAllocating)
+{
+    std::vector<TenantLog> logs{makeLog(0, 4)};
+    saveTrace(constructTrace(logs, parseInterleaving("RR1")),
+              _path.string());
+    patchFile(_path, HeaderNpackets, uint64_t{1} << 40);
+    EXPECT_DEATH(loadTrace(_path.string()),
+                 "truncated trace file '.*hypersio_trace_test.bin'");
+}
+
+TEST_F(TraceFileDeathTest, OpRangePastOpArrayIsRejected)
+{
+    std::vector<TenantLog> logs{makeLog(0, 4)};
+    saveTrace(constructTrace(logs, parseInterleaving("RR1")),
+              _path.string());
+    patchFile(_path, FirstPacketOpBegin, uint32_t{1000});
+    EXPECT_DEATH(loadTrace(_path.string()),
+                 "corrupt trace file '.*hypersio_trace_test.bin': "
+                 "page ops");
+}
+
+TEST_F(TraceFileDeathTest, SidOutsideTenantRangeIsRejected)
+{
+    std::vector<TenantLog> logs{makeLog(0, 4), makeLog(1, 4)};
+    saveTrace(constructTrace(logs, parseInterleaving("RR1")),
+              _path.string());
+    patchFile(_path, FirstPacketSid, uint32_t{2});
+    EXPECT_DEATH(loadTrace(_path.string()),
+                 "corrupt trace file '.*hypersio_trace_test.bin': "
+                 "packet SID 2");
 }
 
 TEST_F(TraceFileTest, TextDumpContainsPacketsAndOps)
