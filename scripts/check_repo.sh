@@ -83,6 +83,13 @@
 #      ratio. The report shape is compared against the committed
 #      BENCH_event_fusion.json with the same loose wall-clock
 #      tolerance as gates 6 and 7.
+#  13. AddressSanitizer over the suites most exposed to memory
+#      errors: the event kernel (it holds raw Ticker pointers while
+#      a link's arrival process is parked), fusion, the system and
+#      soak runs, the oracle, and the binary-trace and text-log
+#      parsers with their hostile-input death tests. They build in
+#      their own -DHYPERSIO_SANITIZE=address tree and run through
+#      ctest, selected by the per-executable test labels.
 #
 # scripts/coverage.sh (gcov line coverage) is a separate, slower
 # workflow and is not part of this gate.
@@ -94,7 +101,7 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 UNCHECKED_DIR="${BUILD_DIR}-unchecked"
 
-echo "== 1/12 repo hygiene: no tracked build artifacts"
+echo "== 1/13 repo hygiene: no tracked build artifacts"
 if git ls-files | grep -q '^build'; then
     echo "FAIL: build trees are tracked in git:" >&2
     git ls-files | grep '^build' | head >&2
@@ -104,7 +111,7 @@ if git ls-files | grep -q '^build'; then
 fi
 echo "   ok"
 
-echo "== 2/12 tier-1 build + ctest (shadow oracle compiled in)"
+echo "== 2/13 tier-1 build + ctest (shadow oracle compiled in)"
 # Every configure pins the build type: `cmake -B` on an existing
 # tree silently keeps whatever CMAKE_BUILD_TYPE is cached there, and
 # the rate gates (6, 7, 9) are calibrated against RelWithDebInfo
@@ -115,7 +122,7 @@ cmake -B "$BUILD_DIR" -S . "$BUILD_TYPE"
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 (cd "$BUILD_DIR" && ctest --output-on-failure -j "$(nproc)")
 
-echo "== 3/12 extended adversarial fuzz campaign"
+echo "== 3/13 extended adversarial fuzz campaign"
 # The ctest invocation above already ran the bounded smoke; this is
 # the long campaign: more packets, multiple seeds. Reproduce any
 # failure with the HYPERSIO_FUZZ_SEED printed in its repro line.
@@ -129,7 +136,7 @@ if ! HYPERSIO_FUZZ_PACKETS=400 HYPERSIO_FUZZ_ROUNDS=3 \
 fi
 grep 'translation requests checked' "$FUZZ_LOG"
 
-echo "== 4/12 shadow checking is observation-only (checked vs not)"
+echo "== 4/13 shadow checking is observation-only (checked vs not)"
 cmake -B "$UNCHECKED_DIR" -S . "$BUILD_TYPE" \
     -DHYPERSIO_CHECKED=OFF > /dev/null
 cmake --build "$UNCHECKED_DIR" -j "$(nproc)" \
@@ -147,7 +154,7 @@ if ! cmp -s "$BUILD_DIR/fig10_checked.out" \
 fi
 echo "   ok: fig10 --quick output byte-identical"
 
-echo "== 5/12 bench JSON regression gate (fig10, quick scale)"
+echo "== 5/13 bench JSON regression gate (fig10, quick scale)"
 # Deterministic settings: quick scale, 8-tenant sweep, fixed seed.
 # --jobs only changes scheduling, never results, but pin it anyway
 # so the config block is stable too.
@@ -170,7 +177,7 @@ MULTI_FRESH="$BUILD_DIR/BENCH_ext_multidevice.json"
 python3 scripts/bench_compare.py BENCH_ext_multidevice.json \
     "$MULTI_FRESH" --tol-throughput 0 --tol-rate 0
 
-echo "== 6/12 event-kernel microbench speedup + report shape"
+echo "== 6/13 event-kernel microbench speedup + report shape"
 KERNEL_FRESH="$BUILD_DIR/BENCH_event_kernel.json"
 "$BUILD_DIR"/bench/event_kernel_microbench --check-speedup 1.3 \
     --json "$KERNEL_FRESH"
@@ -185,7 +192,7 @@ else
     cp "$KERNEL_FRESH" BENCH_event_kernel.json
 fi
 
-echo "== 7/12 translation-path microbench speedup + report shape"
+echo "== 7/13 translation-path microbench speedup + report shape"
 # Both sides run without the shadow oracle (its mirrors would
 # dominate the probes being measured). The flat side reuses the
 # gate-4 unchecked build; the reference side pins the pre-flat
@@ -222,7 +229,7 @@ else
     cp "$FLAT_JSON" BENCH_translation_path.json
 fi
 
-echo "== 8/12 hyper-scale streaming bench: bounded RSS + regression"
+echo "== 8/13 hyper-scale streaming bench: bounded RSS + regression"
 # Measured without the shadow oracle (its mirrors would scale with
 # the mirrored state being bounded, muddying the RSS reading); the
 # unchecked build from gate 4 serves. The in-process assertions
@@ -248,7 +255,7 @@ else
     cp "$HYPERSCALE_FRESH" BENCH_hyperscale.json
 fi
 
-echo "== 9/12 probe vectorization: identical counts + speedup"
+echo "== 9/13 probe vectorization: identical counts + speedup"
 # The SIMD/scalar choice is compile-time (util/simd.hh); the masks
 # the backends produce are defined to be identical, so every
 # deterministic count in the microbench report must match exactly
@@ -295,7 +302,7 @@ else
     exit 1
 fi
 
-echo "== 10/12 soak harness: telemetry stream + drift/leak gate"
+echo "== 10/13 soak harness: telemetry stream + drift/leak gate"
 # Runs from the *checked* build on purpose: the soak regime's value
 # is churn + adversarial episodes under the fail-fast shadow oracle,
 # so the RSS budget is sized for the mirrors' overhead. --jobs 1
@@ -320,7 +327,7 @@ else
     cp "$SOAK_FRESH" BENCH_soak.json
 fi
 
-echo "== 11/12 mechanism tournament: bake-off regression gate"
+echo "== 11/13 mechanism tournament: bake-off regression gate"
 # Runs from the *checked* build: every competitor (sub-entry
 # sharing, MMU-aware prefetch, the paper's partitioning, and their
 # combinations) then executes under the fail-fast shadow oracle, so
@@ -346,7 +353,7 @@ else
     cp "$TOURN_FRESH" BENCH_tournament.json
 fi
 
-echo "== 12/12 event fusion: identical results + speedup"
+echo "== 12/13 event fusion: identical results + speedup"
 # The in-binary runtime-knob A/B on the gate-4 unchecked build. A
 # failed speedup check gets exactly one retry: rate noise is
 # one-sided (background load only ever slows a run), while a
@@ -370,5 +377,17 @@ else
          "BENCH_event_fusion.json"
     cp "$FUSION_JSON" BENCH_event_fusion.json
 fi
+
+echo "== 13/13 AddressSanitizer: kernel, system and parser suites"
+ASAN_DIR="${BUILD_DIR}-asan"
+ASAN_SUITES="test_event_queue test_event_fusion test_system test_soak \
+test_oracle test_trace test_log_text"
+cmake -B "$ASAN_DIR" -S . "$BUILD_TYPE" \
+    -DHYPERSIO_SANITIZE=address > /dev/null
+# $ASAN_SUITES is unquoted on purpose: one target per word.
+cmake --build "$ASAN_DIR" -j "$(nproc)" --target $ASAN_SUITES
+ASAN_LABELS="^($(echo $ASAN_SUITES | tr ' ' '|'))\$"
+(cd "$ASAN_DIR" && ctest --output-on-failure -j "$(nproc)" \
+    -L "$ASAN_LABELS")
 
 echo "check_repo: all gates passed"

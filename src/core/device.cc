@@ -119,9 +119,9 @@ Device::accept(const trace::PacketRecord &packet,
 {
     const unsigned idx = admit(packet);
     _ptb.entry(idx).sink = &sink;
-    // The arrival event keeps working after accept() returns (batch
-    // admission, scheduling the next arrival), so the chain start is
-    // not in tail position: the first hop is always a real event.
+    // The arrival event keeps working after accept() returns (it
+    // schedules the next arrival), so the chain start is not in tail
+    // position: the first hop is always a real event.
     issueNext(idx, /*may_fuse=*/false);
 }
 

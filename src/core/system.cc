@@ -315,13 +315,22 @@ void
 System::arrive(Link &link)
 {
     if (!_bypass && link.device->ptbFull()) {
-        // Dropped; the same packet retries next slot.
+        // Dropped; the same packet retries next slot. Nothing a drop
+        // slot reads can change before packetDone() frees a PTB
+        // entry, so the slots in between park. The exception is a
+        // retirement still pending in eviction mode, which every drop
+        // slot retries: those slots stay real events.
         ++link.dropped;
-        HYPERSIO_SHADOW(devicePacketDropped());
         if (_evictStream)
             serviceRetirements();
-        _queue.scheduleAfter(link.headSlot,
-                             [this, l = &link] { arrive(*l); });
+        const bool park = !_evictStream || _pendingRetire.empty();
+        HYPERSIO_SHADOW(devicePacketDropped(park));
+        if (park) {
+            _queue.park(link.dropTicker, link.headSlot);
+        } else {
+            _queue.scheduleAfter(link.headSlot,
+                                 [this, l = &link] { arrive(*l); });
+        }
         return;
     }
 
@@ -360,6 +369,12 @@ System::arrive(Link &link)
 void
 System::packetDone(Link &link, const trace::PacketRecord &pkt)
 {
+    if (link.dropTicker.parked()) {
+        const uint64_t skipped = _queue.unpark(
+            link.dropTicker, [this, l = &link] { arrive(*l); });
+        link.dropped += skipped;
+        HYPERSIO_SHADOW(devicePacketsDropped(skipped));
+    }
     ++link.processed;
     link.bytes += wireBytesOf(pkt);
     _lastCompletion = _queue.now();

@@ -218,7 +218,13 @@ class System
          * so drop slots re-arm without calling into the stream.
          */
         Tick headSlot = 0;
-        /** Stream ran dry awaiting retirements (arrivals parked). */
+        /**
+         * The arrival process, parked on `headSlot` while the PTB is
+         * full: its drop slots cannot change anything until a PTB
+         * entry frees, so they are counted, not dispatched.
+         */
+        sim::Ticker dropTicker;
+        /** Stream ran dry awaiting retirements (arrivals stalled). */
         bool stalled = false;
 
         uint64_t processed = 0;
@@ -228,15 +234,19 @@ class System
 
     /**
      * The link arrival process — the only one. Admits the head
-     * packet, or drops it when the PTB is full (it retries next
-     * slot), and re-arms after the head packet's serialization time.
+     * packet and re-arms after the head packet's serialization time,
+     * or drops it when the PTB is full and parks until packetDone()
+     * frees an entry (the packet retries every slot in between).
      */
     void arrive(Link &link);
     /** Runs every link's stream to exhaustion (shared by both runs). */
     RunResults drive(bool bypass_translation, uint64_t first_wire_bytes);
     /** The run-once guard shared by run() and runStream(). */
     void beginRun();
-    /** Device completion of one of `link`'s packets. */
+    /**
+     * Device completion of one of `link`'s packets — the only place
+     * a PTB entry frees, so it wakes a parked arrival process.
+     */
     void packetDone(Link &link, const trace::PacketRecord &pkt);
 
     void applyOps(Link &link, const trace::PacketRecord &pkt,

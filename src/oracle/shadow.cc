@@ -135,6 +135,10 @@ ShadowChecker::devicePacketAccepted(uint32_t sid, unsigned idx,
 {
     (void)sid;
     ++_events;
+    SHADOW_CHECK(!_arrivalsParked,
+                 "PTB: sid %u accepted while the arrival process is "
+                 "parked",
+                 sid);
     record(_ptb.allocated(idx, in_use));
 }
 
@@ -146,10 +150,32 @@ ShadowChecker::devicePacketCompleted(unsigned idx, unsigned in_use)
 }
 
 void
-ShadowChecker::devicePacketDropped()
+ShadowChecker::devicePacketDropped(bool parks)
 {
     ++_events;
+    SHADOW_CHECK(!_arrivalsParked,
+                 "PTB: drop slot fired while the arrival process is "
+                 "parked");
     record(_ptb.dropped());
+    _arrivalsParked = parks;
+}
+
+void
+ShadowChecker::devicePacketsDropped(uint64_t n)
+{
+    ++_events;
+    // Each skipped slot would have seen the same full PTB as the
+    // checked drop that parked: nothing frees an entry before the
+    // release that wakes the process, which left one entry free.
+    SHADOW_CHECK(_arrivalsParked,
+                 "PTB: %llu drop slots skipped with no checked park "
+                 "before them",
+                 (unsigned long long)n);
+    SHADOW_CHECK(_ptb.inUse() + 1 == _ptb.capacity(),
+                 "PTB: parked arrivals woke at occupancy %zu/%u — only "
+                 "the release of a full PTB may wake them",
+                 _ptb.inUse(), _ptb.capacity());
+    _arrivalsParked = false;
 }
 
 void

@@ -115,7 +115,17 @@ class ShadowChecker
     void devicePacketAccepted(uint32_t sid, unsigned idx,
                               unsigned in_use);
     void devicePacketCompleted(unsigned idx, unsigned in_use);
-    void devicePacketDropped();
+    /**
+     * An arrival slot found the PTB full. `parks` when the arrival
+     * process then sleeps until the next PTB release instead of
+     * retrying as an event every slot.
+     */
+    void devicePacketDropped(bool parks);
+    /**
+     * A parked arrival process woke at a PTB release, having slept
+     * through `n` more drop slots (n may be 0).
+     */
+    void devicePacketsDropped(uint64_t n);
     void deviceSidObserved(uint32_t sid);
     void deviceSidPredicted(uint32_t sid,
                             std::optional<uint32_t> predicted);
@@ -225,6 +235,8 @@ class ShadowChecker
     RefHistory _history;
     RefMmuPrefetcher _mmu;
     std::unordered_set<uint64_t> _mshr;
+    /** A checked drop parked the arrival process (no wake yet). */
+    bool _arrivalsParked = false;
 
     uint64_t _events = 0;
     uint64_t _translationChecks = 0;

@@ -31,6 +31,16 @@
  * never run ahead of (or tie with) a legacy event — interleaving is
  * bit-identical by construction. SystemConfig::eventFusion turns the
  * fast path off at run time (setFusionEnabled).
+ *
+ * Parked tickers (DESIGN.md "Parked tickers"): a periodic event
+ * whose firings would do nothing until some other event wakes it
+ * (the link's drop slot while the PTB is full) parks instead of
+ * rescheduling itself. The queue keeps only the key of its next
+ * phantom slot and consumes phantom slots without a dispatch — each
+ * burns the one sequence number its event would have scheduled its
+ * successor with, at the same point of the total order — so unpark()
+ * resumes the ticker at exactly the key the event-per-slot schedule
+ * would have had pending.
  */
 
 #ifndef HYPERSIO_SIM_EVENT_QUEUE_HH
@@ -77,6 +87,31 @@ class EventHandle
     friend class EventQueue;
     explicit EventHandle(uint64_t id) : _id(id) {}
     uint64_t _id = 0;
+};
+
+/**
+ * A periodic event its owner can park (EventQueue::park). The owner
+ * holds the storage; the queue holds a pointer to it while parked, so
+ * a parked Ticker must outlive its park.
+ */
+class Ticker
+{
+  public:
+    Ticker() = default;
+    Ticker(const Ticker &) = delete;
+    Ticker &operator=(const Ticker &) = delete;
+
+    bool parked() const { return _parked; }
+
+  private:
+    friend class EventQueue;
+    /** Key (_when, DefaultPriority, _seq) of the next phantom slot. */
+    Tick _when = 0;
+    uint64_t _seq = 0;
+    Tick _period = 0;
+    /** Phantom slots consumed since the park. */
+    uint64_t _skipped = 0;
+    bool _parked = false;
 };
 
 /**
@@ -127,7 +162,10 @@ class EventQueue
      */
     uint64_t scheduledSeq() const { return _nextSeq; }
 
-    /** Number of events currently pending (tombstones excluded). */
+    /**
+     * Number of events currently pending (tombstones and parked
+     * tickers excluded).
+     */
     size_t pending() const { return _live; }
 
     /** True when no live events remain. */
@@ -166,7 +204,10 @@ class EventQueue
      *    tombstoned top counts as pending (it may hide a later live
      *    key, so skipping fusion is the safe direction), and
      *    same-tick events of any priority refuse fusion even when
-     *    the elided event would have ordered first.
+     *    the elided event would have ordered first;
+     *  - every parked ticker's next slot STRICTLY later than the
+     *    hop's tick, by the same rule (a phantom slot is a pending
+     *    event the queue merely does not store).
      */
     bool
     tryFuseAdvance(Tick delay)
@@ -182,6 +223,10 @@ class EventQueue
             return false;
         if (!_heap.empty() && _heap.front().when <= when)
             return false;
+        for (const Ticker *t : _parked) {
+            if (t->_when <= when)
+                return false;
+        }
         ++_nextSeq; // the elided event's slot in the total order
         ++_fusedHops;
         _now = when;
@@ -202,14 +247,7 @@ class EventQueue
                         "scheduling in the past: %llu < %llu",
                         (unsigned long long)when,
                         (unsigned long long)_now);
-        const uint32_t idx = allocRecord();
-        Record &rec = record(idx);
-        rec.emplace(std::forward<F>(fn));
-        rec.state = Record::Pending;
-        ++_live;
-        heapPush(HeapItem{when, ++_nextSeq, priority, idx});
-        return EventHandle((static_cast<uint64_t>(rec.gen) << 32) |
-                           (idx + 1));
+        return push(when, ++_nextSeq, priority, std::forward<F>(fn));
     }
 
     /** Schedules `fn` to run `delay` ticks from now. */
@@ -225,6 +263,57 @@ class EventQueue
                         (unsigned long long)_now,
                         (unsigned long long)delay);
         return schedule(when, std::forward<F>(fn), priority);
+    }
+
+    /**
+     * Parks `ticker`: called from a firing event in place of
+     * `scheduleAfter(period, self)` when the slots that follow would
+     * do nothing until some other event calls unpark(). It consumes
+     * the sequence number that schedule would have, reserving the key
+     * (now + period, DefaultPriority, seq) for the next slot. Until
+     * the unpark, run() consumes each phantom slot at its place in
+     * the total order without a dispatch: one sequence number (the
+     * successor that slot would have scheduled) and one period.
+     */
+    void
+    park(Ticker &ticker, Tick period)
+    {
+        HYPERSIO_ASSERT(!ticker._parked, "ticker parked twice");
+        HYPERSIO_ASSERT(period > 0, "parked ticker needs a period");
+        const Tick when = _now + period;
+        HYPERSIO_ASSERT(when >= _now,
+                        "park overflows Tick: now %llu + period %llu",
+                        (unsigned long long)_now,
+                        (unsigned long long)period);
+        ticker._when = when;
+        ticker._seq = ++_nextSeq;
+        ticker._period = period;
+        ticker._skipped = 0;
+        ticker._parked = true;
+        _parked.push_back(&ticker);
+    }
+
+    /**
+     * Wakes a parked ticker: schedules `fn` at the ticker's reserved
+     * key — the next slot it has not yet consumed, which orders after
+     * the calling event — without a new sequence number.
+     * @return the phantom slots consumed since park()
+     */
+    template <typename F>
+    uint64_t
+    unpark(Ticker &ticker, F &&fn)
+    {
+        HYPERSIO_ASSERT(ticker._parked, "unparking a running ticker");
+        HYPERSIO_ASSERT(ticker._when >= _now,
+                        "unpark behind a consumed slot");
+        ticker._parked = false;
+        const auto it =
+            std::find(_parked.begin(), _parked.end(), &ticker);
+        *it = _parked.back();
+        _parked.pop_back();
+        push(ticker._when, ticker._seq, DefaultPriority,
+             std::forward<F>(fn));
+        return ticker._skipped;
     }
 
     /**
@@ -280,6 +369,8 @@ class EventQueue
                 releaseRecord(top.idx, rec);
                 continue;
             }
+            if (!_parked.empty())
+                consumeParked(&top, limit);
             HYPERSIO_ASSERT(top.when >= _now, "time went backwards");
             FiredCallback cb(rec);
             heapPopTop();
@@ -289,6 +380,13 @@ class EventQueue
             ++_executed;
             cb();
         }
+        if (!_parked.empty()) {
+            // Drained with a ticker parked: its slots would fire
+            // forever, and nothing is left that could wake it.
+            HYPERSIO_ASSERT(limit != MaxTick,
+                            "queue drained with a ticker parked");
+            consumeParked(nullptr, limit);
+        }
         _inRun = false;
         _runLimit = MaxTick;
         if (_now < limit && limit != MaxTick)
@@ -296,7 +394,10 @@ class EventQueue
         return _now;
     }
 
-    /** Executes exactly one event if any is pending. */
+    /**
+     * Executes exactly one event if any is pending (phantom slots of
+     * parked tickers that order before it are consumed first).
+     */
     bool
     step()
     {
@@ -308,6 +409,8 @@ class EventQueue
                 releaseRecord(top.idx, rec);
                 continue;
             }
+            if (!_parked.empty())
+                consumeParked(&top, MaxTick);
             HYPERSIO_ASSERT(top.when >= _now, "time went backwards");
             FiredCallback cb(rec);
             heapPopTop();
@@ -318,6 +421,8 @@ class EventQueue
             cb();
             return true;
         }
+        HYPERSIO_ASSERT(_parked.empty(),
+                        "queue drained with a ticker parked");
         return false;
     }
 
@@ -462,6 +567,60 @@ class EventQueue
         return a.seq < b.seq;
     }
 
+    /** Stores `fn` in a fresh record and queues it at the given key. */
+    template <typename F>
+    EventHandle
+    push(Tick when, uint64_t seq, Priority priority, F &&fn)
+    {
+        const uint32_t idx = allocRecord();
+        Record &rec = record(idx);
+        rec.emplace(std::forward<F>(fn));
+        rec.state = Record::Pending;
+        ++_live;
+        heapPush(HeapItem{when, seq, priority, idx});
+        return EventHandle((static_cast<uint64_t>(rec.gen) << 32) |
+                           (idx + 1));
+    }
+
+    /** The key of `t`'s next phantom slot (it has no record). */
+    static HeapItem
+    slotKey(const Ticker &t)
+    {
+        return HeapItem{t._when, t._seq, DefaultPriority, 0};
+    }
+
+    /**
+     * Consumes, in key order, every phantom slot of the parked
+     * tickers that orders before `next` (the next live event; null
+     * when none is left) and fires at or before `limit` — exactly
+     * the slot events the event-per-slot schedule would have
+     * dispatched first. Each costs one sequence number and one
+     * period and leaves now() at its tick.
+     */
+    void
+    consumeParked(const HeapItem *next, Tick limit)
+    {
+        auto due = [&](const Ticker &t) {
+            return t._when <= limit &&
+                   (!next || before(slotKey(t), *next));
+        };
+        for (;;) {
+            Ticker *first = _parked.front();
+            for (Ticker *t : _parked) {
+                if (before(slotKey(*t), slotKey(*first)))
+                    first = t;
+            }
+            if (!due(*first))
+                return;
+            _now = first->_when;
+            HYPERSIO_ASSERT(_now <= MaxTick - first->_period,
+                            "parked ticker overflows Tick");
+            first->_when += first->_period;
+            first->_seq = ++_nextSeq;
+            ++first->_skipped;
+        }
+    }
+
     static constexpr size_t ChunkShift = 8; ///< 256 records/chunk
     static constexpr size_t ChunkSize = size_t(1) << ChunkShift;
     static constexpr size_t ChunkMask = ChunkSize - 1;
@@ -540,6 +699,8 @@ class EventQueue
     std::vector<std::unique_ptr<Record[]>> _chunks;
     std::vector<uint32_t> _free;
     std::vector<HeapItem> _heap;
+    /** Parked tickers, unordered (consumeParked orders by key). */
+    std::vector<Ticker *> _parked;
     size_t _slabSize = 0;
     size_t _live = 0;
     Tick _now = 0;

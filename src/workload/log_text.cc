@@ -1,6 +1,7 @@
 #include "workload/log_text.hh"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "util/logging.hh"
@@ -102,6 +103,9 @@ parseTextLog(std::istream &is, const std::string &name)
                 !parseU64(value, sid))
                 fatal("%s:%u: bad tenant line", name.c_str(),
                       lineno);
+            if (sid > std::numeric_limits<trace::SourceId>::max())
+                fatal("%s:%u: tenant SID %s does not fit in 32 bits",
+                      name.c_str(), lineno, value.c_str());
             log.sid = static_cast<trace::SourceId>(sid);
             saw_tenant = true;
         } else if (keyword == "map" || keyword == "unmap") {
@@ -134,8 +138,17 @@ parseTextLog(std::istream &is, const std::string &name)
                 if (!parseU64(wire, bytes))
                     fatal("%s:%u: bad wire-bytes '%s'",
                           name.c_str(), lineno, wire.c_str());
+                if (bytes > std::numeric_limits<uint32_t>::max())
+                    fatal("%s:%u: wire-bytes %s does not fit in 32 "
+                          "bits",
+                          name.c_str(), lineno, wire.c_str());
                 pkt.wireBytes = static_cast<uint32_t>(bytes);
             }
+            if (pending.size() > std::numeric_limits<uint16_t>::max())
+                fatal("%s:%u: %zu map/unmap records before one pkt "
+                      "(at most %u)",
+                      name.c_str(), lineno, pending.size(),
+                      unsigned{std::numeric_limits<uint16_t>::max()});
             pkt.opBegin = static_cast<uint32_t>(log.ops.size());
             pkt.opCount = static_cast<uint16_t>(pending.size());
             for (const auto &op : pending)

@@ -7,6 +7,7 @@
 
 #include "sim/event_queue.hh"
 #include "sim/legacy_event_queue.hh"
+#include "util/rng.hh"
 
 namespace hypersio::sim
 {
@@ -516,6 +517,304 @@ TEST(EventQueueFusion, ChainLedgerMatchesEventPerHop)
     EXPECT_EQ(perhop.fusedHops(), 0u);
     EXPECT_GT(fused.fusedHops(), 0u);
     EXPECT_EQ(perhop.executed(), fused.executed() + fused.fusedHops());
+}
+
+// ---- Parked tickers ----------------------------------------------------
+
+TEST(EventQueueParking, PhantomSlotsBurnSeqsAndUnparkResumesOnTheGrid)
+{
+    EventQueue q;
+    Ticker ticker;
+    std::vector<std::pair<Tick, uint64_t>> fired;
+    uint64_t skipped = 0;
+    q.schedule(10, [&] { q.park(ticker, 10); }); // seq 1; slot 20
+    // Phantom slots at 20, 30, 40 each burn one seq before the wake.
+    q.schedule(45, [&] {
+        EXPECT_TRUE(ticker.parked());
+        skipped = q.unpark(ticker, [&] {
+            fired.emplace_back(q.now(), q.scheduledSeq());
+        });
+        EXPECT_FALSE(ticker.parked());
+    });
+    q.run();
+    EXPECT_EQ(skipped, 3u);
+    // Seqs: 2 (the waker), 3 (park: slot 20), 4-6 (slots 20-40, each
+    // reserving its successor); the wake fires at slot 50 (seq 6).
+    ASSERT_EQ(fired.size(), 1u);
+    EXPECT_EQ(fired[0], (std::pair<Tick, uint64_t>{50, 6}));
+    EXPECT_EQ(q.scheduledSeq(), 6u);
+    EXPECT_EQ(q.executed(), 3u);
+}
+
+TEST(EventQueueParking, StepConsumesSlotsAheadOfTheEventItRuns)
+{
+    EventQueue q;
+    Ticker ticker;
+    q.schedule(10, [&] { q.park(ticker, 10); }); // seq 1; slot 20
+    q.schedule(45, [] {});                        // seq 2
+    EXPECT_TRUE(q.step()); // tick 10 parks: seq 3
+    EXPECT_TRUE(q.step()); // slots 20-40 burn seqs 4-6, then tick 45
+    EXPECT_EQ(q.now(), 45u);
+    EXPECT_EQ(q.scheduledSeq(), 6u);
+    EXPECT_EQ(q.unpark(ticker, [] {}), 3u);
+    EXPECT_TRUE(q.step());
+    EXPECT_EQ(q.now(), 50u);
+    EXPECT_FALSE(q.step());
+    EXPECT_EQ(q.executed(), 3u);
+}
+
+TEST(EventQueueParking, FusionRefusesAtOrPastAParkedSlot)
+{
+    EventQueue q;
+    Ticker ticker;
+    bool at_slot = true;
+    bool before_slot = false;
+    q.schedule(0, [&] { q.park(ticker, 10); });
+    q.schedule(5, [&] {
+        at_slot = q.tryFuseAdvance(5);     // hop lands on slot 10
+        before_slot = q.tryFuseAdvance(4); // hop to 9 precedes it
+        q.unpark(ticker, [] {});
+    });
+    q.run();
+    EXPECT_FALSE(at_slot);
+    EXPECT_TRUE(before_slot);
+    EXPECT_EQ(q.fusedHops(), 1u);
+}
+
+TEST(EventQueueParkingDeathTest, DrainingWithATickerParkedPanics)
+{
+    EXPECT_DEATH(
+        {
+            EventQueue q;
+            Ticker ticker;
+            q.schedule(0, [&] { q.park(ticker, 10); });
+            q.run();
+        },
+        "queue drained with a ticker parked");
+}
+
+/**
+ * Differential harness for parked tickers. Two periodic processes
+ * (tickers) run among random one-shot events. A process that goes to
+ * sleep schedules the event that will wake it, then either parks
+ * (`parking`) or keeps firing a no-op every period, the way the
+ * event-per-slot kernel did; a woken process resumes at its next
+ * slot. Random events spawn same-tick events at every priority,
+ * cancel pending ones (tombstones), take fused hops in tail position
+ * and wake sleepers early. Both sides draw the same random stream at
+ * the same real events, so their real-event logs must match.
+ */
+class ParkScript
+{
+  public:
+    struct Fire
+    {
+        int id;
+        Tick tick;
+        uint64_t seq; ///< scheduledSeq() when the event started
+        bool operator==(const Fire &) const = default;
+    };
+
+    ParkScript(bool parking, uint64_t seed, Tick p0, Tick p1)
+        : _parking(parking), _rng(seed)
+    {
+        _procs[0].period = p0;
+        _procs[1].period = p1;
+        q.schedule(0, [this] {
+            start(0);
+            start(1);
+            real(nextId());
+        });
+    }
+
+    EventQueue q;
+    std::vector<Fire> log;
+    uint64_t noops = 0;   ///< reference: no-op slot fires
+    uint64_t skipped = 0; ///< parking: phantom slots reported by unpark
+    /** Reference only: wakes ordered before / after a same-tick slot. */
+    uint64_t wakeBeforeSlot = 0;
+    uint64_t wakeAfterSlot = 0;
+
+  private:
+    struct Proc
+    {
+        Ticker ticker;
+        Tick period = 0;
+        bool alive = false;
+        bool asleep = false; ///< reference side's sleep flag
+        Tick lastNoop = MaxTick;
+        Tick wokeAt = MaxTick;
+    };
+
+    int nextId() { return _nextId++; }
+
+    Tick
+    delay()
+    {
+        // Mostly multiples of 10, so events tie with slot ticks.
+        return 10 * _rng.below(7) + (_rng.chance(0.2) ? _rng.below(10)
+                                                      : 0);
+    }
+
+    Priority
+    priority()
+    {
+        static constexpr Priority prios[] = {EarlyPriority,
+                                             DefaultPriority,
+                                             LatePriority};
+        return prios[_rng.below(3)];
+    }
+
+    bool
+    asleep(int p) const
+    {
+        return _parking ? _procs[p].ticker.parked() : _procs[p].asleep;
+    }
+
+    void
+    start(int p)
+    {
+        _procs[p].alive = true;
+        q.scheduleAfter(_procs[p].period, [this, p] { slot(p); });
+    }
+
+    void
+    wake(int p)
+    {
+        Proc &proc = _procs[p];
+        if (_parking) {
+            skipped += q.unpark(proc.ticker, [this, p] { slot(p); });
+            return;
+        }
+        proc.asleep = false;
+        proc.wokeAt = q.now();
+        if (proc.lastNoop == q.now())
+            ++wakeAfterSlot;
+    }
+
+    void
+    slot(int p)
+    {
+        Proc &proc = _procs[p];
+        if (!_parking && proc.asleep) {
+            ++noops;
+            proc.lastNoop = q.now();
+            q.scheduleAfter(proc.period, [this, p] { slot(p); });
+            return;
+        }
+        if (!_parking && proc.wokeAt == q.now())
+            ++wakeBeforeSlot;
+        log.push_back({-1 - p, q.now(), q.scheduledSeq()});
+        const uint64_t choice = _budget > 0 ? _rng.below(4) : 0;
+        if (choice == 0) {
+            proc.alive = false;
+            return;
+        }
+        if (choice == 1) {
+            q.scheduleAfter(proc.period, [this, p] { slot(p); });
+            return;
+        }
+        // Sleep until a waker fires (the PTB release of the link
+        // model), which may tie with a slot in either seq order.
+        const int id = nextId();
+        q.scheduleAfter(
+            delay(),
+            [this, id, p] {
+                log.push_back({id, q.now(), q.scheduledSeq()});
+                if (asleep(p))
+                    wake(p);
+            },
+            priority());
+        if (_parking) {
+            q.park(proc.ticker, proc.period);
+        } else {
+            proc.asleep = true;
+            q.scheduleAfter(proc.period, [this, p] { slot(p); });
+        }
+    }
+
+    void
+    real(int id)
+    {
+        log.push_back({id, q.now(), q.scheduledSeq()});
+        if (_budget <= 0)
+            return;
+        for (uint64_t k = _rng.below(3); k > 0; --k) {
+            --_budget;
+            const int child = nextId();
+            _handles.push_back(q.scheduleAfter(
+                delay(), [this, child] { real(child); }, priority()));
+        }
+        if (_rng.chance(0.25) && !_handles.empty()) {
+            // Logged as -10 when it tombstones a pending event, -11
+            // when the event already fired or was cancelled.
+            const EventHandle victim =
+                _handles[_rng.below(_handles.size())];
+            log.push_back({q.cancel(victim) ? -10 : -11, q.now(),
+                           q.scheduledSeq()});
+        }
+        for (int p = 0; p < 2; ++p) {
+            if (asleep(p) && _rng.chance(0.3))
+                wake(p);
+            else if (!_procs[p].alive && _rng.chance(0.1))
+                start(p);
+        }
+        if (_rng.chance(0.5)) {
+            // Tail position: the continuation is this event's last act.
+            --_budget;
+            const int hop = nextId();
+            const Tick d = delay();
+            if (q.tryFuseAdvance(d))
+                real(hop);
+            else
+                q.scheduleAfter(d, [this, hop] { real(hop); });
+        }
+    }
+
+    const bool _parking;
+    Rng _rng;
+    Proc _procs[2];
+    std::vector<EventHandle> _handles;
+    int _nextId = 0;
+    int _budget = 300;
+};
+
+TEST(EventQueueParking, MatchesEventPerSlotReferenceOnRandomSchedules)
+{
+    uint64_t wake_before = 0;
+    uint64_t wake_after = 0;
+    uint64_t fused = 0;
+    for (uint64_t seed = 1; seed <= 200; ++seed) {
+        SCOPED_TRACE(seed);
+        const Tick p0 = 10 * (1 + seed % 3);
+        const Tick p1 = seed % 2 ? p0 : 10 * (1 + (seed / 3) % 4);
+        ParkScript ref(false, seed, p0, p1);
+        ParkScript park(true, seed, p0, p1);
+        // Stop mid-park at a few limits (slots at or before each
+        // limit must be consumed), then drain.
+        for (const Tick limit : {Tick(35), Tick(90), Tick(91),
+                                 Tick(200 + seed), MaxTick}) {
+            ref.q.run(limit);
+            park.q.run(limit);
+            ASSERT_EQ(ref.log, park.log) << "limit " << limit;
+            ASSERT_EQ(ref.q.now(), park.q.now()) << "limit " << limit;
+            ASSERT_EQ(ref.q.scheduledSeq(), park.q.scheduledSeq())
+                << "limit " << limit;
+        }
+        EXPECT_EQ(park.skipped, ref.noops);
+        EXPECT_EQ(park.q.fusedHops(), ref.q.fusedHops());
+        EXPECT_EQ(park.q.executed() + park.skipped, ref.q.executed());
+        wake_before += ref.wakeBeforeSlot;
+        wake_after += ref.wakeAfterSlot;
+        fused += park.q.fusedHops();
+    }
+    // The schedules must actually reach the interesting orders: a
+    // wake keyed before a same-tick slot (the slot then does real
+    // work), one keyed after it (the slot was a no-op), and fused
+    // hops among parked slots.
+    EXPECT_GT(wake_before, 0u);
+    EXPECT_GT(wake_after, 0u);
+    EXPECT_GT(fused, 0u);
 }
 
 } // namespace

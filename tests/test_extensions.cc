@@ -11,6 +11,7 @@
 
 #include "core/overrides.hh"
 #include "core/system.hh"
+#include "run_digest.hh"
 #include "stats/stats.hh"
 #include "trace/constructor.hh"
 #include "trace/stream.hh"
@@ -212,6 +213,63 @@ TEST(MultiSystemTest, UtilizationNormalisedToDeviceCount)
     const RunResults r = multi.run(tr);
     EXPECT_LE(r.utilization, 1.0 + 1e-9);
     EXPECT_GT(r.utilization, 0.0);
+}
+
+/**
+ * Base links parked on full PTBs at the same time: every link's
+ * arrival process sleeps through its drop slots, and the kernel
+ * catches the phantom slots up in (tick, seq) order across links.
+ * The trace mixes 64 B and 256 B wire sizes, so the links park with
+ * different slot periods. The goldens were recorded from the kernel
+ * that fired every drop slot as its own event.
+ */
+TEST(MultiSystemTest, ParkedLinksMatchEventPerSlotGoldens)
+{
+    struct Golden
+    {
+        unsigned devices;
+        const char *results;
+        uint64_t statsDigest;
+        uint64_t scheduledSeq;
+    };
+    const Golden goldens[] = {
+        {2,
+         "{\"config\":\"base\",\"packets_processed\":1500,"
+         "\"packets_dropped\":56517,\"translations\":4500,"
+         "\"elapsed_ticks\":753213360,"
+         "\"achieved_gbps\":18.62516087075248,"
+         "\"utilization\":0.0465629021768812,"
+         "\"devtlb_hit_rate\":0.7391111111111112,"
+         "\"pb_hit_rate\":0,\"iotlb_hit_rate\":0.3023850085178876,"
+         "\"walks\":819,\"iommu_requests\":1174,"
+         "\"avg_packet_latency_ns\":987.008}",
+         14834110502939483250ull, 64865},
+        {3,
+         "{\"config\":\"base\",\"packets_processed\":1500,"
+         "\"packets_dropped\":51261,\"translations\":4500,"
+         "\"elapsed_ticks\":459288000,"
+         "\"achieved_gbps\":30.544494957412343,"
+         "\"utilization\":0.05090749159568724,"
+         "\"devtlb_hit_rate\":0.7755555555555556,"
+         "\"pb_hit_rate\":0,\"iotlb_hit_rate\":0.1891089108910891,"
+         "\"walks\":819,\"iommu_requests\":1010,"
+         "\"avg_packet_latency_ns\":888.608}",
+         14934664964326231648ull, 59281},
+    };
+    workload::AdversarialConfig tc;
+    tc.tenants = 12;
+    tc.packets = 1500;
+    tc.seed = 11;
+    const trace::HyperTrace tr = workload::makeAdversarialTrace(
+        workload::AdversarialPattern::UniformRandom, tc);
+    for (const Golden &g : goldens) {
+        SCOPED_TRACE(g.devices);
+        System system(SystemConfig::base(), g.devices);
+        const RunResults r = system.run(tr);
+        EXPECT_EQ(golden::resultsJson(r), g.results);
+        EXPECT_EQ(golden::statsDigest(system), g.statsDigest);
+        EXPECT_EQ(system.eventQueue().scheduledSeq(), g.scheduledSeq);
+    }
 }
 
 TEST(MultiSystemDeathTest, StreamingNeedsASingleDevice)

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "workload/benchmarks.hh"
 #include "workload/log_text.hh"
@@ -104,6 +105,48 @@ TEST(LogText, WriterEmitsParsableKeywords)
     EXPECT_NE(text.find("map   0x1000 4K"), std::string::npos);
     EXPECT_NE(text.find("pkt   0x1000 0x2000 4K 0x1f00"),
               std::string::npos);
+}
+
+// Values past their record field's width must fail with file:line,
+// never wrap silently.
+TEST(LogTextDeathTest, TenantSidBeyond32BitsIsRejected)
+{
+    std::stringstream input("tenant 1\ntenant 4294967296\n");
+    EXPECT_DEATH(parseTextLog(input, "big.log"),
+                 "big.log:2: tenant SID 4294967296 does not fit in "
+                 "32 bits");
+}
+
+TEST(LogTextDeathTest, WireBytesBeyond32BitsIsRejected)
+{
+    std::stringstream input(
+        "tenant 1\n"
+        "pkt 0x1000 0x2000 4K 0x3000 4294967295\n"
+        "pkt 0x1000 0x2000 4K 0x3000 4294967296\n");
+    EXPECT_DEATH(parseTextLog(input, "wire.log"),
+                 "wire.log:3: wire-bytes 4294967296 does not fit in "
+                 "32 bits");
+}
+
+TEST(LogTextDeathTest, OpCountBeyond16BitsIsRejected)
+{
+    // 65535 records before one pkt fit opCount; 65536 would wrap it.
+    auto log_with_ops = [](size_t ops) {
+        std::string text = "tenant 1\n";
+        for (size_t i = 0; i < ops; ++i)
+            text += "map 0x1000 4K\n";
+        text += "pkt 0x1000 0x2000 4K 0x3000\n";
+        return text;
+    };
+    std::stringstream fits(log_with_ops(65535));
+    const trace::TenantLog log = parseTextLog(fits, "fits.log");
+    ASSERT_EQ(log.packets.size(), 1u);
+    EXPECT_EQ(log.packets[0].opCount, 65535u);
+
+    std::stringstream wraps(log_with_ops(65536));
+    EXPECT_DEATH(parseTextLog(wraps, "ops.log"),
+                 "ops.log:65538: 65536 map/unmap records before one "
+                 "pkt \\(at most 65535\\)");
 }
 
 } // namespace

@@ -259,7 +259,7 @@ TEST(ShadowChecker, CollectsViolationsInsteadOfDying)
     ShadowChecker checker(smallConfig(), nullptr,
                           /*fail_fast=*/false);
     // Drop with an empty PTB: illegal.
-    checker.devicePacketDropped();
+    checker.devicePacketDropped(/*parks=*/false);
     // Phantom DevTLB hit.
     checker.deviceDevtlbLookup(0, 0, 0x1000, mem::PageSize::Size4K,
                                0, true, 0xdead);
@@ -269,6 +269,60 @@ TEST(ShadowChecker, CollectsViolationsInsteadOfDying)
               std::string::npos);
     EXPECT_EQ(checker.eventCount(), 2u);
     EXPECT_EQ(checker.translationChecks(), 1u);
+}
+
+TEST(ShadowChecker, ParkedArrivalsFollowTheWakeProtocol)
+{
+    // Full PTB (2 slots) -> a parking drop -> the release wakes the
+    // arrival process with its skipped slots -> the next accept.
+    ShadowChecker checker(smallConfig(), nullptr,
+                          /*fail_fast=*/false);
+    checker.devicePacketAccepted(1, 0, 1);
+    checker.devicePacketAccepted(2, 1, 2);
+    checker.devicePacketDropped(/*parks=*/true);
+    checker.devicePacketCompleted(0, 1);
+    checker.devicePacketsDropped(41);
+    checker.devicePacketAccepted(3, 0, 2);
+    // A drop that stays an event (retirement pending) then an accept.
+    checker.devicePacketDropped(/*parks=*/false);
+    checker.devicePacketCompleted(1, 1);
+    checker.devicePacketAccepted(4, 1, 2);
+    EXPECT_EQ(checker.violationCount(), 0u)
+        << (checker.violations().empty() ? ""
+                                         : checker.violations()[0]);
+}
+
+TEST(ShadowChecker, AcceptWhileParkedIsAViolation)
+{
+    ShadowChecker checker(smallConfig(), nullptr,
+                          /*fail_fast=*/false);
+    checker.devicePacketAccepted(1, 0, 1);
+    checker.devicePacketAccepted(2, 1, 2);
+    checker.devicePacketDropped(/*parks=*/true);
+    checker.devicePacketCompleted(0, 1);
+    // The wake (devicePacketsDropped) never came.
+    checker.devicePacketAccepted(3, 0, 2);
+    ASSERT_EQ(checker.violationCount(), 1u);
+    EXPECT_NE(checker.violations()[0].find("accepted while the "
+                                           "arrival process is parked"),
+              std::string::npos)
+        << checker.violations()[0];
+}
+
+TEST(ShadowChecker, DropBatchWithoutACheckedParkIsAViolation)
+{
+    ShadowChecker checker(smallConfig(), nullptr,
+                          /*fail_fast=*/false);
+    checker.devicePacketAccepted(1, 0, 1);
+    checker.devicePacketAccepted(2, 1, 2);
+    // The drop was checked but did not park: no batch may follow.
+    checker.devicePacketDropped(/*parks=*/false);
+    checker.devicePacketCompleted(0, 1);
+    checker.devicePacketsDropped(7);
+    ASSERT_EQ(checker.violationCount(), 1u);
+    EXPECT_NE(checker.violations()[0].find("no checked park"),
+              std::string::npos)
+        << checker.violations()[0];
 }
 
 TEST(ShadowChecker, ChecksWalkAccountingAgainstPagingMirrors)
@@ -300,7 +354,7 @@ TEST(ShadowChecker, FailFastPanicsOnFirstViolation)
         {
             ShadowChecker checker(smallConfig(), nullptr,
                                   /*fail_fast=*/true);
-            checker.devicePacketDropped();
+            checker.devicePacketDropped(/*parks=*/false);
         },
         "shadow oracle");
 }

@@ -27,6 +27,7 @@
 
 #include "core/multi_system.hh"
 #include "core/system.hh"
+#include "run_digest.hh"
 #include "stats/snapshot.hh"
 #include "stats/stats.hh"
 #include "util/json.hh"
@@ -316,6 +317,86 @@ TEST(SoakStream, StormPeriodZeroDegeneratesToPlainChurn)
     EXPECT_EQ(system.streamRetirements().size(),
               cfg.churn.population);
     EXPECT_EQ(system.tables().size(), 0u);
+}
+
+/**
+ * A retirement pending across a run of drop slots. Each slot retries
+ * it, so drop slots stay events while anything awaits retirement and
+ * park only once nothing does. With Base (PTB 1) a detached tenant's
+ * farewell packet holds the only PTB entry, and its completion both
+ * frees the entry and unblocks the retirement. With HyperTRIO on a
+ * 2-entry PTB a retirement can also wait on a prefetch fill in
+ * flight, and the fill can land while the PTB is still full: the
+ * next drop slot then retires the tenant, which a parked slot would
+ * miss. The retirement log's (tick, seq) stamps, the stat tree and
+ * the final seq must equal the goldens recorded from the kernel that
+ * fired every drop slot as its own event.
+ */
+TEST(SoakStream, RetirementPendingAcrossDropsMatchesEventPerSlotGoldens)
+{
+    struct Golden
+    {
+        const char *config;
+        unsigned ptbEntries;
+        size_t retirements;
+        uint64_t logHash;
+        const char *results;
+        uint64_t statsDigest;
+        uint64_t scheduledSeq;
+    };
+    const Golden goldens[] = {
+        {"base", 1, 90, 15484770519981696394ull,
+         "{\"config\":\"base\",\"packets_processed\":3643,"
+         "\"packets_dropped\":31892,\"translations\":10929,"
+         "\"elapsed_ticks\":2191804800,"
+         "\"achieved_gbps\":20.503672589821868,"
+         "\"utilization\":0.10251836294910933,"
+         "\"devtlb_hit_rate\":0.8234056180803367,"
+         "\"pb_hit_rate\":0,\"iotlb_hit_rate\":0.5440414507772021,"
+         "\"walks\":880,\"iommu_requests\":1930,"
+         "\"avg_packet_latency_ns\":560.2794400219599}",
+         6750499199848996955ull, 50324},
+        {"hypertrio", 2, 90, 3221313634293073986ull,
+         "{\"config\":\"hypertrio\",\"packets_processed\":3643,"
+         "\"packets_dropped\":8179,\"translations\":10929,"
+         "\"elapsed_ticks\":729186960,"
+         "\"achieved_gbps\":61.630350603088125,"
+         "\"utilization\":0.3081517530154406,"
+         "\"devtlb_hit_rate\":0.906853326013359,"
+         "\"pb_hit_rate\":0.04007685973099094,"
+         "\"iotlb_hit_rate\":0.5967268149391524,"
+         "\"walks\":874,\"iommu_requests\":2383,"
+         "\"avg_packet_latency_ns\":333.1509854515509}",
+         1908317594554248332ull, 28885},
+    };
+    for (const Golden &g : goldens) {
+        SCOPED_TRACE(g.config);
+        core::SystemConfig config =
+            std::string(g.config) == "base"
+                ? core::SystemConfig::base()
+                : core::SystemConfig::hypertrio();
+        config.device.ptbEntries = g.ptbEntries;
+        core::System system(config);
+        workload::SoakStream soak(smallSoak());
+        const core::RunResults r = system.runStream(soak);
+
+        uint64_t log_hash = golden::fnv1a("");
+        for (const core::StreamRetirement &ret :
+             system.streamRetirements()) {
+            const uint64_t fields[] = {ret.tick, ret.seq, ret.sid};
+            log_hash = golden::fnv1a(
+                std::string_view(
+                    reinterpret_cast<const char *>(fields),
+                    sizeof(fields)),
+                log_hash);
+        }
+        EXPECT_GT(r.packetsDropped, r.packetsProcessed);
+        EXPECT_EQ(system.streamRetirements().size(), g.retirements);
+        EXPECT_EQ(log_hash, g.logHash);
+        EXPECT_EQ(golden::resultsJson(r), g.results);
+        EXPECT_EQ(golden::statsDigest(system), g.statsDigest);
+        EXPECT_EQ(system.eventQueue().scheduledSeq(), g.scheduledSeq);
+    }
 }
 
 // ---------------------------------------------------------------

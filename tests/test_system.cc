@@ -5,6 +5,7 @@
 
 #include "core/runner.hh"
 #include "core/system.hh"
+#include "run_digest.hh"
 #include "trace/constructor.hh"
 #include "workload/benchmarks.hh"
 
@@ -211,6 +212,65 @@ TEST(System, PacketLatencyIsBoundedBelowByHitPath)
     const RunResults r = s.run(makeTrace(2));
     // Three serialized DevTLB hits = 6 ns is the floor.
     EXPECT_GE(r.avgPacketLatencyNs, 6.0);
+}
+
+/**
+ * A PTB release that lands exactly on a parked arrival slot. With a
+ * whole-nanosecond arrival slot and every pipeline latency a whole
+ * number of nanoseconds, Base releases keep landing on slot ticks. A
+ * release keyed before the slot wakes the arrival process in time for
+ * that slot to admit; one keyed after it leaves the slot a drop, and
+ * the next slot admits. With 1 ns slots every release orders first
+ * (its last hop was scheduled more than a slot earlier). With 3 ns
+ * slots a release after a 2 ns DevTLB hit orders after the slot, so
+ * both orders occur (about 600 and 6200 of the 6917 wake-ups). The
+ * goldens were recorded from the kernel that fired every drop slot as
+ * its own event; matching them pins the wake-up order exactly.
+ */
+TEST(System, PtbReleaseOnASlotTickMatchesEventPerSlotGoldens)
+{
+    struct Golden
+    {
+        unsigned packetBytes; ///< 25 B = 1 ns, 75 B = 3 ns at 200 Gb/s
+        const char *results;
+        uint64_t statsDigest;
+        uint64_t scheduledSeq;
+    };
+    const Golden goldens[] = {
+        {25,
+         "{\"config\":\"base\",\"packets_processed\":6918,"
+         "\"packets_dropped\":8088453,\"translations\":20754,"
+         "\"elapsed_ticks\":8097177000,"
+         "\"achieved_gbps\":0.1708743676962971,"
+         "\"utilization\":0.0008543718384814856,"
+         "\"devtlb_hit_rate\":0.5738170954996628,"
+         "\"pb_hit_rate\":0,\"iotlb_hit_rate\":0.9840587902769926,"
+         "\"walks\":141,\"iommu_requests\":8845,"
+         "\"avg_packet_latency_ns\":1170.4504191962994}",
+         11914174222537519824ull, 8133815},
+        {75,
+         "{\"config\":\"base\",\"packets_processed\":6918,"
+         "\"packets_dropped\":2697799,\"translations\":20754,"
+         "\"elapsed_ticks\":8115957000,"
+         "\"achieved_gbps\":0.5114369137244074,"
+         "\"utilization\":0.0025571845686220367,"
+         "\"devtlb_hit_rate\":0.5738170954996628,"
+         "\"pb_hit_rate\":0,\"iotlb_hit_rate\":0.9840587902769926,"
+         "\"walks\":141,\"iommu_requests\":8845,"
+         "\"avg_packet_latency_ns\":1170.4504191962994}",
+         11914174222537519824ull, 2743161},
+    };
+    const auto tr = makeTrace(16, "RAND1");
+    for (const Golden &g : goldens) {
+        SCOPED_TRACE(g.packetBytes);
+        SystemConfig config = SystemConfig::base();
+        config.link.packetBytes = g.packetBytes;
+        System system(config);
+        const RunResults r = system.run(tr);
+        EXPECT_EQ(golden::resultsJson(r), g.results);
+        EXPECT_EQ(golden::statsDigest(system), g.statsDigest);
+        EXPECT_EQ(system.eventQueue().scheduledSeq(), g.scheduledSeq);
+    }
 }
 
 TEST(ExperimentRunnerTest, CachesTracesAcrossPoints)

@@ -7,6 +7,9 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+
+#include <unistd.h>
 
 #include "trace/constructor.hh"
 #include "trace/record.hh"
@@ -189,10 +192,16 @@ TEST(Constructor, EmptyInputsYieldEmptyTrace)
 class TraceFileTest : public ::testing::Test
 {
   protected:
+    // ctest runs every case as its own process, in parallel under
+    // -j, so each case needs its own file: test name plus pid.
     void SetUp() override
     {
+        const std::string name = ::testing::UnitTest::GetInstance()
+                                     ->current_test_info()
+                                     ->name();
         _path = std::filesystem::temp_directory_path() /
-                "hypersio_trace_test.bin";
+                ("hypersio_trace_test_" + name + "_" +
+                 std::to_string(::getpid()) + ".bin");
     }
     void TearDown() override { std::filesystem::remove(_path); }
 
@@ -266,7 +275,8 @@ TEST_F(TraceFileDeathTest, HugePacketCountFailsBeforeAllocating)
               _path.string());
     patchFile(_path, HeaderNpackets, uint64_t{1} << 40);
     EXPECT_DEATH(loadTrace(_path.string()),
-                 "truncated trace file '.*hypersio_trace_test.bin'");
+                 "truncated trace file "
+                 "'.*hypersio_trace_test_.*\\.bin'");
 }
 
 TEST_F(TraceFileDeathTest, OpRangePastOpArrayIsRejected)
@@ -276,7 +286,8 @@ TEST_F(TraceFileDeathTest, OpRangePastOpArrayIsRejected)
               _path.string());
     patchFile(_path, FirstPacketOpBegin, uint32_t{1000});
     EXPECT_DEATH(loadTrace(_path.string()),
-                 "corrupt trace file '.*hypersio_trace_test.bin': "
+                 "corrupt trace file "
+                 "'.*hypersio_trace_test_.*\\.bin': "
                  "page ops");
 }
 
@@ -287,7 +298,8 @@ TEST_F(TraceFileDeathTest, SidOutsideTenantRangeIsRejected)
               _path.string());
     patchFile(_path, FirstPacketSid, uint32_t{2});
     EXPECT_DEATH(loadTrace(_path.string()),
-                 "corrupt trace file '.*hypersio_trace_test.bin': "
+                 "corrupt trace file "
+                 "'.*hypersio_trace_test_.*\\.bin': "
                  "packet SID 2");
 }
 
