@@ -32,7 +32,7 @@
  * binary, asserts the two legs' RunResults and stat trees are
  * byte-identical, that the per-hop leg dispatched exactly the fused
  * leg's events plus its fused hops, and fails unless the aggregate
- * fused/per-hop rate ratio reaches X (check_repo.sh gate 12).
+ * fused/per-hop rate ratio reaches X (check_repo.sh gate 10).
  */
 
 #include <chrono>

@@ -7,7 +7,7 @@
  * are fully retired — so peak memory is O(active slots), not
  * O(population). The committed BENCH_hyperscale.json baseline pins
  * the deterministic scalars (packet/retirement counts, the merged
- * retirement-timeline checksum); scripts/check_repo.sh gate 8 diffs
+ * retirement-timeline checksum); scripts/check_repo.sh gate 7 diffs
  * a fresh --smoke run against it.
  *
  *   hyperscale_bench --tenants 120000 --active 1024 --shards 4 \

@@ -4,20 +4,17 @@
  * hyper-traces through the full Device→Chipset→IOMMU system and
  * reports end-to-end packets/sec plus per-structure probe counts.
  *
- * This is the measurement harness for the flat-hash/SoA data-layout
- * work: the same binary built with -DHYPERSIO_LEGACY_STRUCTURES=ON
- * pins the pre-flat layouts (std::unordered_map-backed FlatMap,
- * array-of-structures SetAssocCache), and scripts/check_repo.sh
- * requires the flat build to reach >= 1.3x the legacy build's
- * functional-replay packets/sec (both compiled with
- * -DHYPERSIO_CHECKED=OFF, since the shadow oracle's own mirrors
- * would otherwise dominate the probes being measured). Each pattern
- * runs twice: a timed full-system replay, whose cycles are mostly
- * event-kernel and callback plumbing shared by both layouts and
- * whose probe counts anchor the cross-build differential check, and
- * a functional replay (see FunctionalPath below) that drives only
- * the translation structures and therefore isolates the layout
- * cost — that second rate is the gated one.
+ * This is the measurement harness for the flat-hash/SoA data layouts
+ * and their 16-wide group probes: scripts/check_repo.sh builds it
+ * twice with -DHYPERSIO_CHECKED=OFF (the shadow oracle's own mirrors
+ * would otherwise dominate the probes being measured), once with the
+ * SIMD probe backend and once with -DHYPERSIO_SIMD_PROBES=OFF, and
+ * compares the two. Each pattern runs twice: a timed full-system
+ * replay, whose cycles are mostly event-kernel and callback plumbing
+ * and whose probe counts anchor the cross-build differential check,
+ * and a functional replay (see FunctionalPath below) that drives
+ * only the translation structures and therefore isolates the probe
+ * cost.
  *
  * Three adversarial patterns run through the HyperTRIO configuration
  * (PTB 32, partitioned DevTLB, prefetching on, so the SID predictor,
@@ -33,9 +30,9 @@
  * Every run must process the whole trace; the harness asserts the
  * packet accounting so a broken build cannot "win" by dropping work.
  * The probe-count scalars are machine-independent and bit-identical
- * across layout modes — scripts/bench_speedup.py cross-checks them
+ * across probe backends — scripts/bench_speedup.py cross-checks them
  * when computing the speedup, so the gate doubles as a differential
- * test between the flat and legacy structures.
+ * test between the SIMD and scalar backends.
  *
  * Usage:
  *   translation_path_microbench [--packets N] [--tenants N]
@@ -43,8 +40,8 @@
  *
  * The JSON report (schema hypersio-bench-1) carries the exact probe
  * counts plus the measured rates (machine-dependent;
- * scripts/check_repo.sh compares them against the committed
- * BENCH_translation_path.json with a loose tolerance).
+ * scripts/check_repo.sh requires the counts to match the committed
+ * BENCH_translation_path.json exactly).
  */
 
 #include <algorithm>
@@ -167,23 +164,21 @@ struct ProbeCounts
  * the discrete-event engine stripped away.
  *
  * The timed full-system runs above spend most of their cycles in the
- * event kernel and callback plumbing, which are byte-for-byte
- * identical in both layout modes — they dilute the measurement of
- * the thing the layouts change. This replay drives the *real*
- * structures (SetAssocCache DevTLB/IOTLB/L2/L3, PrefetchUnit with
- * its SID predictor, PageTableDirectory and its PageTables, a
- * per-tenant FlatMap history) through the same deterministic packet
- * stream, synchronously: per packet, apply the page map/unmap ops,
- * train the predictor, run one predictor-driven prefetch fill, and
- * translate ring + data + notify through the DevTLB → PB → IOTLB →
- * L2/L3 → page-walk hierarchy with the standard fill-on-miss flow.
+ * event kernel and callback plumbing, which no probe backend touches
+ * — they dilute the measurement of the probes. This replay drives
+ * the *real* structures (SetAssocCache DevTLB/IOTLB/L2/L3,
+ * PrefetchUnit with its SID predictor, PageTableDirectory and its
+ * PageTables, a per-tenant FlatMap history) through the same
+ * deterministic packet stream, synchronously: per packet, apply the
+ * page map/unmap ops, train the predictor, run one predictor-driven
+ * prefetch fill, and translate ring + data + notify through the
+ * DevTLB → PB → IOTLB → L2/L3 → page-walk hierarchy with the
+ * standard fill-on-miss flow.
  *
- * Every probe lands on a structure this PR's layouts back, so its
- * packets/sec isolates the data-layout cost; it is the scalar
- * scripts/check_repo.sh gates at >= 1.3x flat over legacy. All
- * counts it produces are deterministic and layout-independent
- * (nothing here iterates a map), which bench_speedup.py exploits as
- * a cross-build differential check.
+ * Every probe lands on a flat-hash/SoA structure, so its packets/sec
+ * isolates the probe cost. All counts it produces are deterministic
+ * and backend-independent (nothing here iterates a map), which
+ * bench_speedup.py exploits as a cross-build differential check.
  */
 class FunctionalPath
 {
@@ -340,10 +335,10 @@ class FunctionalPath
 
 /**
  * Walk storm: a TLB-less tenant-lifecycle replay that lands every
- * single probe on the open-addressed map structures this PR's
- * tentpole replaced — the page-table directory, the per-domain page
- * tables (populated and churned through the trace's map/unmap ops),
- * the SID-predictor table, and the per-tenant history map.
+ * single probe on the open-addressed map structures — the page-table
+ * directory, the per-domain page tables (populated and churned
+ * through the trace's map/unmap ops), the SID-predictor table, and
+ * the per-tenant history map.
  *
  * The trace's packets are regrouped into tenant *windows* (in order
  * of first appearance): at most LiveWindow tenants are live at a
@@ -355,11 +350,11 @@ class FunctionalPath
  * arrive, map their rings and buffers, walk on every translation
  * (no TLBs here), and leave, thousands of times per run.
  *
- * This is the rate scripts/check_repo.sh gates at >= 1.3x: unlike
- * the functional replay above, no cycles go to replacement-policy
- * bookkeeping that both layout modes share, so the ratio reflects
- * the attach / probe / detach cost of the data layouts and nothing
- * else.
+ * This is the rate scripts/check_repo.sh gates at >= 1.15x SIMD over
+ * scalar probes: unlike the functional replay above, no cycles go to
+ * replacement-policy bookkeeping that both backends share, so the
+ * ratio reflects the attach / probe / detach cost of the data
+ * layouts and nothing else.
  */
 class WalkStorm
 {
@@ -514,12 +509,6 @@ main(int argc, char **argv)
     ropts.jsonPath = opts.jsonPath;
     bench::JsonReport report("translation_path_microbench", ropts);
 
-#ifdef HYPERSIO_LEGACY_STRUCTURES
-    const int legacy_mode = 1;
-#else
-    const int legacy_mode = 0;
-#endif
-
     constexpr workload::AdversarialPattern Patterns[] = {
         workload::AdversarialPattern::UniformRandom,
         workload::AdversarialPattern::PbThrash,
@@ -527,9 +516,9 @@ main(int argc, char **argv)
     };
 
     std::printf("translation path microbench: %llu packets x %u "
-                "tenants x %u reps per pattern (%s structures)\n",
+                "tenants x %u reps per pattern\n",
                 (unsigned long long)opts.packets, opts.tenants,
-                opts.reps, legacy_mode ? "legacy" : "flat");
+                opts.reps);
     std::printf("%-16s %12s %10s %10s %10s %10s %10s %10s\n",
                 "pattern", "packets/s", "walks", "devtlb", "pb",
                 "iotlb", "l2", "l3");
@@ -641,7 +630,7 @@ main(int argc, char **argv)
         }
 
         // Functional replay of the same trace: structure traffic
-        // only, the layout-sensitive measurement (see FunctionalPath).
+        // only, the probe-sensitive measurement (see FunctionalPath).
         double fn_wall = 0.0;
         uint64_t fn_translations = 0;
         uint64_t fn_walks = 0;
@@ -747,11 +736,9 @@ main(int argc, char **argv)
                 (unsigned long long)total_packets, total_wall,
                 total_pps, total_fn_pps);
 
-    report.addScalar("legacy_structures",
-                     static_cast<double>(legacy_mode));
     // Probe-backend identity: width is the layout contract (always
     // 16, even scalar); simd_probes records whether a vector unit
-    // actually backs the group compares. Gate 9 diffs the counts of
+    // actually backs the group compares. Gate 6 diffs the counts of
     // a simd_probes=1 and a simd_probes=0 build — they must be
     // bit-identical, rates aside.
     report.addScalar("probe_group_width",

@@ -19,51 +19,35 @@
 #      the simulator is deterministic, so any drift is a behavior
 #      change that needs the baseline regenerated on purpose. The
 #      multi-device sharing experiment (ext_multidevice: 1/2/4
-#      devices on one chipset) must match BENCH_ext_multidevice.json
-#      with zero tolerance.
-#   6. The event-kernel microbench must show the slab kernel at
-#      >= 1.3x the legacy kernel's events/sec on the schedule_fire
-#      mix, and its report must keep the shape of the committed
-#      BENCH_event_kernel.json. Rates are wall-clock measurements,
-#      so the baseline comparison runs with a deliberately loose
-#      tolerance: it catches missing/renamed scalars and order-of-
-#      magnitude regressions, while the hard >= 1.3x bound is
-#      enforced in-process by --check-speedup on this machine.
-#   7. The translation-path microbench must show the flat-hash/SoA
-#      data layouts at >= 1.3x the pinned reference layouts'
-#      packets/sec. The two layouts are a compile-time choice
-#      (HYPERSIO_LEGACY_STRUCTURES), so the ratio is taken across
-#      two -DHYPERSIO_CHECKED=OFF builds of the same binary;
-#      scripts/bench_speedup.py additionally requires every
+#      devices on one chipset) must match BENCH_ext_multidevice.json.
+#      Both comparisons run with zero tolerance.
+#   6. Probe vectorization must be observation-free and profitable:
+#      the translation-path microbench runs from the gate-4
+#      unchecked build (SIMD group probes) and from a
+#      -DHYPERSIO_SIMD_PROBES=OFF build (the portable scalar
+#      backend). scripts/bench_speedup.py requires every
 #      deterministic probe-count scalar to match exactly between
-#      them (the layouts must do identical simulated work). The
-#      report shape is compared against the committed
-#      BENCH_translation_path.json with the same loose wall-clock
-#      tolerance as gate 6.
-#   8. The hyper-scale streaming bench (tenant churn over bounded
+#      them, and the SIMD build's walk-storm rate must hold >= 1.15x
+#      over the scalar build's in a back-to-back same-machine A/B
+#      (locally measured ~1.25x). The SIMD report's counts must also
+#      equal the committed BENCH_translation_path.json exactly, and
+#      those shared with the pinned pre-vectorization record
+#      (BENCH_translation_path_flat_baseline.json) must equal it;
+#      the committed report's shape (every scalar present, rates
+#      within a loose wall-clock tolerance) is checked too.
+#   7. The hyper-scale streaming bench (tenant churn over bounded
 #      SID slots, sharded across systems) must complete its smoke
 #      configuration inside a fixed peak-RSS budget — the O(active)
 #      state invariant — and its deterministic scalars (packets,
 #      translations, retirements, merge checksum) must match the
 #      committed BENCH_hyperscale.json exactly.
-#   9. Probe vectorization must be observation-free and profitable:
-#      a -DHYPERSIO_SIMD_PROBES=OFF build (scalar reference group
-#      ops) must produce bit-identical deterministic counts to the
-#      SIMD build on the translation-path microbench, and the SIMD
-#      build's walk-storm rate must hold >= 1.15x over the scalar
-#      build's in a back-to-back same-machine A/B (locally measured
-#      ~1.25x). The pinned pre-vectorization record
-#      (BENCH_translation_path_flat_baseline.json — regenerate it
-#      only as part of a deliberate re-baselining of the
-#      pre-vectorization record) is compared counts-only: committed
-#      rates don't travel across machines, deterministic counts do.
-#  10. The soak harness (long-haul churn + adversarial episodes with
+#   8. The soak harness (long-haul churn + adversarial episodes with
 #      interval telemetry) must run its smoke configuration under
 #      the checked build, stream valid hypersio-soak-1 snapshots,
 #      pass scripts/soak_report.py's drift/leak gate, stay inside a
 #      peak-RSS budget, and match the committed BENCH_soak.json's
 #      deterministic scalars exactly.
-#  11. The mechanism tournament (partitioning vs sub-entry sharing
+#   9. The mechanism tournament (partitioning vs sub-entry sharing
 #      vs MMU-aware prefetch, and their combinations) must complete
 #      its smoke sweep under the checked build's fail-fast shadow
 #      oracle and match the committed BENCH_tournament.json exactly
@@ -71,7 +55,7 @@
 #      proxies) is deterministic, so any drift means a mechanism's
 #      behavior changed and the bake-off needs re-reading before
 #      the baseline is regenerated on purpose.
-#  12. Hit-path event fusion must be observation-free and
+#  10. Hit-path event fusion must be observation-free and
 #      profitable: event_fusion_microbench --check-speedup runs every
 #      storm with SystemConfig::eventFusion on and off in one
 #      unchecked binary, asserts byte-identical RunResults and stat
@@ -82,14 +66,18 @@
 #      mirrors dominate the 2 ns hops being fused and would mask the
 #      ratio. The report shape is compared against the committed
 #      BENCH_event_fusion.json with the same loose wall-clock
-#      tolerance as gates 6 and 7.
-#  13. AddressSanitizer over the suites most exposed to memory
+#      tolerance as gate 6.
+#  11. AddressSanitizer over the suites most exposed to memory
 #      errors: the event kernel (it holds raw Ticker pointers while
 #      a link's arrival process is parked), fusion, the system and
 #      soak runs, the oracle, and the binary-trace and text-log
 #      parsers with their hostile-input death tests. They build in
 #      their own -DHYPERSIO_SANITIZE=address tree and run through
 #      ctest, selected by the per-executable test labels.
+#  12. UndefinedBehaviorSanitizer over the same suites, in a
+#      -DHYPERSIO_SANITIZE=undefined tree. UBSan reports and carries
+#      on by default, so the run sets halt_on_error=1: any finding
+#      fails its test.
 #
 # scripts/coverage.sh (gcov line coverage) is a separate, slower
 # workflow and is not part of this gate.
@@ -101,7 +89,7 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 UNCHECKED_DIR="${BUILD_DIR}-unchecked"
 
-echo "== 1/13 repo hygiene: no tracked build artifacts"
+echo "== 1/12 repo hygiene: no tracked build artifacts"
 if git ls-files | grep -q '^build'; then
     echo "FAIL: build trees are tracked in git:" >&2
     git ls-files | grep '^build' | head >&2
@@ -111,10 +99,10 @@ if git ls-files | grep -q '^build'; then
 fi
 echo "   ok"
 
-echo "== 2/13 tier-1 build + ctest (shadow oracle compiled in)"
+echo "== 2/12 tier-1 build + ctest (shadow oracle compiled in)"
 # Every configure pins the build type: `cmake -B` on an existing
 # tree silently keeps whatever CMAKE_BUILD_TYPE is cached there, and
-# the rate gates (6, 7, 9) are calibrated against RelWithDebInfo
+# the rate gates (6, 10) are calibrated against RelWithDebInfo
 # codegen — a stale -O3 cache shifts inlining in the header-only hot
 # loops enough to flip a speedup gate without any source change.
 BUILD_TYPE="-DCMAKE_BUILD_TYPE=RelWithDebInfo"
@@ -122,7 +110,7 @@ cmake -B "$BUILD_DIR" -S . "$BUILD_TYPE"
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 (cd "$BUILD_DIR" && ctest --output-on-failure -j "$(nproc)")
 
-echo "== 3/13 extended adversarial fuzz campaign"
+echo "== 3/12 extended adversarial fuzz campaign"
 # The ctest invocation above already ran the bounded smoke; this is
 # the long campaign: more packets, multiple seeds. Reproduce any
 # failure with the HYPERSIO_FUZZ_SEED printed in its repro line.
@@ -136,7 +124,7 @@ if ! HYPERSIO_FUZZ_PACKETS=400 HYPERSIO_FUZZ_ROUNDS=3 \
 fi
 grep 'translation requests checked' "$FUZZ_LOG"
 
-echo "== 4/13 shadow checking is observation-only (checked vs not)"
+echo "== 4/12 shadow checking is observation-only (checked vs not)"
 cmake -B "$UNCHECKED_DIR" -S . "$BUILD_TYPE" \
     -DHYPERSIO_CHECKED=OFF > /dev/null
 cmake --build "$UNCHECKED_DIR" -j "$(nproc)" \
@@ -154,17 +142,20 @@ if ! cmp -s "$BUILD_DIR/fig10_checked.out" \
 fi
 echo "   ok: fig10 --quick output byte-identical"
 
-echo "== 5/13 bench JSON regression gate (fig10, quick scale)"
+echo "== 5/12 bench JSON regression gate (fig10, quick scale)"
 # Deterministic settings: quick scale, 8-tenant sweep, fixed seed.
 # --jobs only changes scheduling, never results, but pin it anyway
 # so the config block is stable too.
 FRESH="$BUILD_DIR/BENCH_fig10.json"
 "$BUILD_DIR"/bench/fig10_scalability --quick --tenants 8 --jobs 1 \
     --json "$FRESH" > /dev/null
-python3 scripts/bench_compare.py "$FRESH" "$FRESH"
+python3 scripts/bench_compare.py "$FRESH" "$FRESH" \
+    --tol-throughput 0 --tol-rate 0
 if [ -f BENCH_fig10.json ]; then
-    echo "   comparing against committed BENCH_fig10.json baseline"
-    python3 scripts/bench_compare.py BENCH_fig10.json "$FRESH"
+    echo "   comparing against committed BENCH_fig10.json baseline" \
+         "(exact)"
+    python3 scripts/bench_compare.py BENCH_fig10.json "$FRESH" \
+        --tol-throughput 0 --tol-rate 0
 else
     echo "   no committed baseline; installing $FRESH as" \
          "BENCH_fig10.json"
@@ -177,59 +168,65 @@ MULTI_FRESH="$BUILD_DIR/BENCH_ext_multidevice.json"
 python3 scripts/bench_compare.py BENCH_ext_multidevice.json \
     "$MULTI_FRESH" --tol-throughput 0 --tol-rate 0
 
-echo "== 6/13 event-kernel microbench speedup + report shape"
-KERNEL_FRESH="$BUILD_DIR/BENCH_event_kernel.json"
-"$BUILD_DIR"/bench/event_kernel_microbench --check-speedup 1.3 \
-    --json "$KERNEL_FRESH"
-if [ -f BENCH_event_kernel.json ]; then
-    echo "   comparing against committed BENCH_event_kernel.json" \
-         "baseline (loose tolerance: rates are wall-clock)"
-    python3 scripts/bench_compare.py BENCH_event_kernel.json \
-        "$KERNEL_FRESH" --tol-throughput 3.0 --tol-rate 1.0
-else
-    echo "   no committed baseline; installing $KERNEL_FRESH as" \
-         "BENCH_event_kernel.json"
-    cp "$KERNEL_FRESH" BENCH_event_kernel.json
-fi
-
-echo "== 7/13 translation-path microbench speedup + report shape"
-# Both sides run without the shadow oracle (its mirrors would
-# dominate the probes being measured). The flat side reuses the
-# gate-4 unchecked build; the reference side pins the pre-flat
-# layouts with HYPERSIO_LEGACY_STRUCTURES=ON.
-LEGACY_DIR="${BUILD_DIR}-legacy-structs"
+echo "== 6/12 translation path: SIMD vs scalar counts + speedup"
+# Both builds run without the shadow oracle (its mirrors would
+# dominate the probes being measured); the SIMD side reuses the
+# gate-4 unchecked build. The SIMD/scalar choice is compile-time
+# (util/simd.hh) and the masks the backends produce are defined to
+# be identical, so every deterministic count in the report must
+# match exactly between the two builds. The SIMD binary runs on both
+# sides of the scalar one and the better of its two runs is scored:
+# rate noise is one-sided (background load only ever slows a run).
+# The gated rate is the walk storm, a tenant-lifecycle replay whose
+# every probe lands on the flat structures; the timed full-system
+# phase also runs (its deterministic scalars anchor the differential
+# check) but its rate is dominated by the event kernel, which both
+# backends share. The 1.15x floor sits under a locally measured
+# ~1.25x.
+SCALAR_DIR="${BUILD_DIR}-scalar-probes"
 cmake --build "$UNCHECKED_DIR" -j "$(nproc)" \
     --target translation_path_microbench
-cmake -B "$LEGACY_DIR" -S . "$BUILD_TYPE" -DHYPERSIO_CHECKED=OFF \
-    -DHYPERSIO_LEGACY_STRUCTURES=ON > /dev/null
-cmake --build "$LEGACY_DIR" -j "$(nproc)" \
+cmake -B "$SCALAR_DIR" -S . "$BUILD_TYPE" -DHYPERSIO_CHECKED=OFF \
+    -DHYPERSIO_SIMD_PROBES=OFF > /dev/null
+cmake --build "$SCALAR_DIR" -j "$(nproc)" \
     --target translation_path_microbench
-FLAT_JSON="$BUILD_DIR/BENCH_translation_path.json"
-LEGACY_JSON="$BUILD_DIR/BENCH_translation_path_legacy.json"
+SIMD_JSON="$BUILD_DIR/BENCH_translation_path.json"
+SIMD2_JSON="$BUILD_DIR/BENCH_translation_path_simd2.json"
+SCALAR_JSON="$BUILD_DIR/BENCH_translation_path_scalar.json"
 "$UNCHECKED_DIR"/bench/translation_path_microbench \
-    --json "$FLAT_JSON" > /dev/null
-"$LEGACY_DIR"/bench/translation_path_microbench \
-    --json "$LEGACY_JSON" > /dev/null
-# The gated rate is the walk storm: a tenant-lifecycle replay whose
-# every probe lands on the converted structures. The timed
-# full-system phase also runs (its deterministic scalars anchor the
-# cross-build differential check) but its rate is dominated by the
-# event kernel, which both layouts share.
-python3 scripts/bench_speedup.py "$FLAT_JSON" "$LEGACY_JSON" \
-    --scalar total_walkstorm_packets_per_sec --min-ratio 1.3
-if [ -f BENCH_translation_path.json ]; then
-    echo "   comparing against committed" \
-         "BENCH_translation_path.json baseline (loose tolerance:" \
-         "rates are wall-clock)"
-    python3 scripts/bench_compare.py BENCH_translation_path.json \
-        "$FLAT_JSON" --tol-throughput 3.0 --tol-rate 1.0
-else
-    echo "   no committed baseline; installing $FLAT_JSON as" \
-         "BENCH_translation_path.json"
-    cp "$FLAT_JSON" BENCH_translation_path.json
-fi
+    --json "$SIMD_JSON" > /dev/null
+"$SCALAR_DIR"/bench/translation_path_microbench \
+    --json "$SCALAR_JSON" > /dev/null
+"$UNCHECKED_DIR"/bench/translation_path_microbench \
+    --json "$SIMD2_JSON" > /dev/null
+BEST_SIMD=$(python3 - "$SIMD_JSON" "$SIMD2_JSON" <<'EOF'
+import json, sys
+print(max(sys.argv[1:3], key=lambda p: json.load(open(p))
+          ["scalars"]["total_walkstorm_packets_per_sec"]))
+EOF
+)
+python3 scripts/bench_speedup.py "$BEST_SIMD" "$SCALAR_JSON" \
+    --scalar total_walkstorm_packets_per_sec --min-ratio 1.15
+# Committed records hold only what travels across machines: the
+# counts are compared exactly, the rates only for the report's shape
+# (every scalar present, no order-of-magnitude collapse). The pinned
+# pre-vectorization record (BENCH_translation_path_flat_baseline.json
+# — regenerate it only as part of a deliberate re-baselining of that
+# record) predates some scalars, so only the counts both carry are
+# compared.
+echo "   comparing against committed BENCH_translation_path.json" \
+     "(counts exact, rates loose: they are wall-clock)"
+python3 scripts/bench_speedup.py "$SIMD_JSON" \
+    BENCH_translation_path.json --counts-only
+python3 scripts/bench_compare.py BENCH_translation_path.json \
+    "$SIMD_JSON" --tol-throughput 3.0 --tol-rate 1.0
+echo "   comparing counts against the pinned" \
+     "BENCH_translation_path_flat_baseline.json"
+python3 scripts/bench_speedup.py "$SIMD_JSON" \
+    BENCH_translation_path_flat_baseline.json \
+    --counts-only --ignore-missing
 
-echo "== 8/13 hyper-scale streaming bench: bounded RSS + regression"
+echo "== 7/12 hyper-scale streaming bench: bounded RSS + regression"
 # Measured without the shadow oracle (its mirrors would scale with
 # the mirrored state being bounded, muddying the RSS reading); the
 # unchecked build from gate 4 serves. The in-process assertions
@@ -255,54 +252,7 @@ else
     cp "$HYPERSCALE_FRESH" BENCH_hyperscale.json
 fi
 
-echo "== 9/13 probe vectorization: identical counts + speedup"
-# The SIMD/scalar choice is compile-time (util/simd.hh); the masks
-# the backends produce are defined to be identical, so every
-# deterministic count in the microbench report must match exactly
-# between a SIMD build and a HYPERSIO_SIMD_PROBES=OFF build. The
-# scalar build is the pre-vectorization reference implementation,
-# so the speedup leg is a same-machine A/B against it: the gate-7
-# flat measurement is minutes (and two configure+build cycles) old
-# by now, so the flat binary is re-measured back-to-back with the
-# scalar one and the better of the two flat runs is scored — rate
-# noise is one-sided (background load only ever slows a run). The
-# 1.15x floor sits under a locally measured ~1.25x. The pinned
-# BENCH_translation_path_flat_baseline.json (regenerate it only as
-# part of a deliberate re-baselining of the pre-vectorization
-# record) is held to the machine-independent claim a committed file
-# can actually support: today's builds must do simulated work
-# identical to the pre-vectorization record, count for count.
-SCALAR_DIR="${BUILD_DIR}-scalar-probes"
-cmake -B "$SCALAR_DIR" -S . "$BUILD_TYPE" -DHYPERSIO_CHECKED=OFF \
-    -DHYPERSIO_SIMD_PROBES=OFF > /dev/null
-cmake --build "$SCALAR_DIR" -j "$(nproc)" \
-    --target translation_path_microbench
-SCALAR_JSON="$BUILD_DIR/BENCH_translation_path_scalar.json"
-"$SCALAR_DIR"/bench/translation_path_microbench \
-    --json "$SCALAR_JSON" > /dev/null
-FLAT9_JSON="$BUILD_DIR/BENCH_translation_path_flat9.json"
-"$UNCHECKED_DIR"/bench/translation_path_microbench \
-    --json "$FLAT9_JSON" > /dev/null
-BEST_FLAT=$(python3 - "$FLAT_JSON" "$FLAT9_JSON" <<'EOF'
-import json, sys
-print(max(sys.argv[1:3], key=lambda p: json.load(open(p))
-          ["scalars"]["total_walkstorm_packets_per_sec"]))
-EOF
-)
-python3 scripts/bench_speedup.py "$BEST_FLAT" "$SCALAR_JSON" \
-    --scalar total_walkstorm_packets_per_sec --min-ratio 1.15
-if [ -f BENCH_translation_path_flat_baseline.json ]; then
-    python3 scripts/bench_speedup.py "$FLAT_JSON" \
-        BENCH_translation_path_flat_baseline.json \
-        --counts-only --ignore-missing
-else
-    echo "FAIL: BENCH_translation_path_flat_baseline.json missing" \
-         "(the pinned pre-vectorization baseline must stay" \
-         "committed)" >&2
-    exit 1
-fi
-
-echo "== 10/13 soak harness: telemetry stream + drift/leak gate"
+echo "== 8/12 soak harness: telemetry stream + drift/leak gate"
 # Runs from the *checked* build on purpose: the soak regime's value
 # is churn + adversarial episodes under the fail-fast shadow oracle,
 # so the RSS budget is sized for the mirrors' overhead. --jobs 1
@@ -327,7 +277,7 @@ else
     cp "$SOAK_FRESH" BENCH_soak.json
 fi
 
-echo "== 11/13 mechanism tournament: bake-off regression gate"
+echo "== 9/12 mechanism tournament: bake-off regression gate"
 # Runs from the *checked* build: every competitor (sub-entry
 # sharing, MMU-aware prefetch, the paper's partitioning, and their
 # combinations) then executes under the fail-fast shadow oracle, so
@@ -353,7 +303,7 @@ else
     cp "$TOURN_FRESH" BENCH_tournament.json
 fi
 
-echo "== 12/13 event fusion: identical results + speedup"
+echo "== 10/12 event fusion: identical results + speedup"
 # The in-binary runtime-knob A/B on the gate-4 unchecked build. A
 # failed speedup check gets exactly one retry: rate noise is
 # one-sided (background load only ever slows a run), while a
@@ -378,16 +328,27 @@ else
     cp "$FUSION_JSON" BENCH_event_fusion.json
 fi
 
-echo "== 13/13 AddressSanitizer: kernel, system and parser suites"
+echo "== 11/12 AddressSanitizer: kernel, system and parser suites"
 ASAN_DIR="${BUILD_DIR}-asan"
-ASAN_SUITES="test_event_queue test_event_fusion test_system test_soak \
+SAN_SUITES="test_event_queue test_event_fusion test_system test_soak \
 test_oracle test_trace test_log_text"
 cmake -B "$ASAN_DIR" -S . "$BUILD_TYPE" \
     -DHYPERSIO_SANITIZE=address > /dev/null
-# $ASAN_SUITES is unquoted on purpose: one target per word.
-cmake --build "$ASAN_DIR" -j "$(nproc)" --target $ASAN_SUITES
-ASAN_LABELS="^($(echo $ASAN_SUITES | tr ' ' '|'))\$"
+# $SAN_SUITES is unquoted on purpose: one target per word.
+cmake --build "$ASAN_DIR" -j "$(nproc)" --target $SAN_SUITES
+SAN_LABELS="^($(echo $SAN_SUITES | tr ' ' '|'))\$"
 (cd "$ASAN_DIR" && ctest --output-on-failure -j "$(nproc)" \
-    -L "$ASAN_LABELS")
+    -L "$SAN_LABELS")
+
+echo "== 12/12 UndefinedBehaviorSanitizer: the same suites"
+# UBSan prints a "runtime error" and carries on unless told to halt;
+# halt_on_error=1 turns every finding into a failed test.
+UBSAN_DIR="${BUILD_DIR}-ubsan"
+cmake -B "$UBSAN_DIR" -S . "$BUILD_TYPE" \
+    -DHYPERSIO_SANITIZE=undefined > /dev/null
+cmake --build "$UBSAN_DIR" -j "$(nproc)" --target $SAN_SUITES
+(cd "$UBSAN_DIR" && \
+    UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    ctest --output-on-failure -j "$(nproc)" -L "$SAN_LABELS")
 
 echo "check_repo: all gates passed"

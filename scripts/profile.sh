@@ -12,8 +12,9 @@
 # mcount call into every non-inlined function, which both perturbs
 # inlining decisions and taxes small hot functions the most — treat
 # the output as "where to look", not as a truth source for ratios.
-# For A/B layout questions, bench/translation_path_microbench's
-# best-of-reps rates (and check_repo.sh gate 7) are the measurement.
+# For A/B probe questions, bench/translation_path_microbench's
+# best-of-reps rates (and check_repo.sh gate 6) are the measurement;
+# for end-to-end questions, python3 perfbench/run.py is.
 #
 # Usage:
 #   scripts/profile.sh [-n TOP] [target] [args...]

@@ -108,7 +108,7 @@ struct SystemConfig
      * Hit-path event fusion (sim/event_queue.hh::tryFuseAdvance):
      * deterministic translation hops run as synchronous
      * continuations instead of separate events. Results are
-     * bit-identical either way (gate 12 enforces it); OFF pins the
+     * bit-identical either way (gate 10 enforces it); OFF pins the
      * event-per-hop reference kernel for A/B measurement.
      */
     bool eventFusion = true;

@@ -27,7 +27,7 @@
  * Selection is compile-time: DefaultGroupOps is the best vector
  * backend for the target unless HYPERSIO_FORCE_SCALAR_PROBES is
  * defined (the -DHYPERSIO_SIMD_PROBES=OFF CMake build), which pins
- * the scalar reference. scripts/check_repo.sh gate 9 builds both and
+ * the scalar reference. scripts/check_repo.sh gate 6 builds both and
  * requires every deterministic bench count to match exactly.
  *
  * Group discipline shared by all consumers: groups are 16-byte

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "sim/event_queue.hh"
-#include "sim/legacy_event_queue.hh"
 #include "util/rng.hh"
 
 namespace hypersio::sim
@@ -167,9 +166,8 @@ TEST(EventHandle, DefaultIsInvalid)
 }
 
 // Regression: cancelling an event after it fired must be a detected
-// no-op. The legacy kernel tombstoned the dead id forever, so its
-// pending() underflowed and empty() lied (see the companion test
-// below, which pins down the old behaviour).
+// no-op. The pre-slab kernel tombstoned the dead id forever, so its
+// pending() underflowed and empty() lied.
 TEST(EventQueue, CancelAfterFireReturnsFalse)
 {
     EventQueue q;
@@ -187,22 +185,6 @@ TEST(EventQueue, CancelAfterFireReturnsFalse)
     q.run();
     EXPECT_EQ(fired, 2);
     EXPECT_TRUE(q.empty());
-}
-
-// The same sequence against the preserved legacy kernel: cancel
-// claims success on a fired event and corrupts the accounting. This
-// documents that CancelAfterFireReturnsFalse genuinely fails on the
-// old implementation (its EXPECTs invert here).
-TEST(LegacyEventQueue, CancelAfterFireCorruptsAccounting)
-{
-    LegacyEventQueue q;
-    int fired = 0;
-    LegacyEventHandle h = q.schedule(10, [&] { ++fired; });
-    q.run();
-    EXPECT_EQ(fired, 1);
-    EXPECT_TRUE(q.cancel(h)); // bug: the event already fired
-    EXPECT_NE(q.pending(), 0u); // size_t underflow
-    EXPECT_FALSE(q.empty());
 }
 
 // A handle must die with its event even when the slot is recycled:
