@@ -38,22 +38,6 @@ makeRunner(const core::BenchOptions &opts)
                                   !opts.jsonPath.empty());
 }
 
-/** Runs one (config, workload) point and returns the results. */
-inline core::RunResults
-runPoint(core::ExperimentRunner &runner, core::SystemConfig config,
-         workload::Benchmark bench, unsigned tenants,
-         const std::string &il = "RR1", bool bypass = false)
-{
-    core::ExperimentPoint point;
-    point.label = config.name;
-    point.config = std::move(config);
-    point.bench = bench;
-    point.tenants = tenants;
-    point.interleave = trace::parseInterleaving(il);
-    point.bypassTranslation = bypass;
-    return runner.run(point).results;
-}
-
 /**
  * Collects experiment points across a bench's loop structure, runs
  * them all at once through ExperimentRunner::runAll (fanning out

@@ -23,10 +23,13 @@ main(int argc, char **argv)
                   "scenario)",
                   opts);
 
-    core::ExperimentRunner runner = bench::makeRunner(opts);
     const bench::WallTimer timer;
     bench::JsonReport report("ext_multidevice", opts);
     const unsigned tenants = std::min(opts.maxTenants, 256u);
+    const trace::HyperTrace tr = trace::constructTrace(
+        workload::generateLogs(workload::Benchmark::Iperf3, tenants,
+                               opts.seed, opts.scale),
+        trace::parseInterleaving("RR1"));
 
     std::printf("%u tenants total, iperf3 RR1, tenants split "
                 "round-robin across devices\n\n",
@@ -35,9 +38,6 @@ main(int argc, char **argv)
                 "aggregate Gb/s", "per-device Gb/s", "IOTLB hit");
     for (unsigned devices : {1u, 2u, 4u}) {
         for (bool hypertrio : {false, true}) {
-            const auto &tr = runner.getTrace(
-                workload::Benchmark::Iperf3, tenants,
-                trace::parseInterleaving("RR1"));
             core::SystemConfig config =
                 hypertrio ? core::SystemConfig::hypertrio()
                           : core::SystemConfig::base();

@@ -20,7 +20,11 @@
 #      change that needs the baseline regenerated on purpose. The
 #      multi-device sharing experiment (ext_multidevice: 1/2/4
 #      devices on one chipset) must match BENCH_ext_multidevice.json.
-#      Both comparisons run with zero tolerance.
+#      Both comparisons run with zero tolerance. Sweep points stream
+#      their traces, so the gate-4 unchecked fig10_scalability --full
+#      --tenants 128 --jobs 4 must finish under 256 MiB peak RSS
+#      (ru_maxrss of the process, read by os.wait4); holding every
+#      trace took ~1.8 GiB.
 #   6. Probe vectorization must be observation-free and profitable:
 #      the translation-path microbench runs from the gate-4
 #      unchecked build (SIMD group probes) and from a
@@ -167,6 +171,27 @@ MULTI_FRESH="$BUILD_DIR/BENCH_ext_multidevice.json"
 "$BUILD_DIR"/bench/ext_multidevice --json "$MULTI_FRESH" > /dev/null
 python3 scripts/bench_compare.py BENCH_ext_multidevice.json \
     "$MULTI_FRESH" --tol-throughput 0 --tol-rate 0
+echo "   fig10 --full --tenants 128 --jobs 4 (unchecked) within a" \
+     "256 MiB peak-RSS budget"
+python3 - "$UNCHECKED_DIR"/bench/fig10_scalability --full \
+    --tenants 128 --jobs 4 <<'EOF'
+import os, sys
+budget_mib = 256
+pid = os.fork()
+if pid == 0:
+    os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+    os.execv(sys.argv[1], sys.argv[1:])
+_, status, usage = os.wait4(pid, 0)
+code = os.waitstatus_to_exitcode(status)
+peak_mib = usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
+print("   peak RSS %.0f MiB (budget %d MiB), exit %d"
+      % (peak_mib, budget_mib, code))
+if code != 0:
+    sys.exit("FAIL: fig10_scalability exited with %d" % code)
+if peak_mib > budget_mib:
+    sys.exit("FAIL: fig10 --full sweep peak RSS %.0f MiB exceeds the "
+             "%d MiB budget" % (peak_mib, budget_mib))
+EOF
 
 echo "== 6/12 translation path: SIMD vs scalar counts + speedup"
 # Both builds run without the shadow oracle (its mirrors would

@@ -3,9 +3,9 @@
 #
 # Configures a separate build tree with -DHYPERSIO_SANITIZE=thread,
 # builds the parallel-runner and event-queue test binaries, and runs
-# them under TSan. Any data race in the worker pool, the trace
-# cache's per-key construction locks, or the shared logging/debug
-# sinks fails the run (TSan exits non-zero on a report).
+# them under TSan. Any data race in the runner's worker pool, the
+# sharded multi-system pool, or the shared logging/debug sinks fails
+# the run (TSan exits non-zero on a report).
 #
 # Usage: scripts/tsan.sh [build-dir]   (default: build-tsan)
 set -eu

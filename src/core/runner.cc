@@ -1,14 +1,18 @@
 #include "core/runner.hh"
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <mutex>
 #include <sstream>
 #include <thread>
 
 #include "util/logging.hh"
 #include "util/str.hh"
+#include "workload/streaming.hh"
 
 namespace hypersio::core
 {
@@ -45,49 +49,29 @@ defaultBenchJobs()
     return hw ? hw : 1;
 }
 
-unsigned
-ExperimentRunner::defaultJobs()
-{
-    return defaultBenchJobs();
-}
-
-const trace::HyperTrace &
-ExperimentRunner::getTrace(workload::Benchmark bench,
-                           unsigned tenants,
-                           const trace::Interleaving &il)
-{
-    TraceEntry *entry = nullptr;
-    {
-        std::lock_guard<std::mutex> lock(_traceMutex);
-        auto &slot = _traces[TraceKey{bench, tenants, il.name()}];
-        if (!slot)
-            slot = std::make_unique<TraceEntry>();
-        entry = slot.get();
-    }
-    // Per-key construction lock: the first requester builds the
-    // trace, concurrent requesters for the same key block until it
-    // is ready, and other keys proceed independently.
-    std::call_once(entry->built, [&]() {
-        auto logs =
-            workload::generateLogs(bench, tenants, _seed, _scale);
-        entry->trace = trace::constructTrace(logs, il);
-        entry->trace.seed = _seed;
-        _constructions.fetch_add(1, std::memory_order_relaxed);
-    });
-    return entry->trace;
-}
-
 ExperimentRow
 ExperimentRunner::run(const ExperimentPoint &point)
 {
-    const trace::HyperTrace &tr =
-        getTrace(point.bench, point.tenants, point.interleave);
     SystemConfig config = point.config;
     config.seed = _seed;
     System system(config);
     ExperimentRow row;
     row.point = point;
-    row.results = system.run(tr, point.bypassTranslation);
+    // The two runs that need the trace in memory (class comment).
+    if (point.bypassTranslation ||
+        config.device.devtlb.policy == cache::ReplPolicyKind::Oracle) {
+        const trace::HyperTrace trace = trace::constructTrace(
+            workload::generateLogs(point.bench, point.tenants, _seed,
+                                   _scale),
+            point.interleave);
+        row.results = system.run(trace, point.bypassTranslation);
+    } else {
+        workload::SpliceStream stream(point.bench, point.tenants,
+                                      _seed, point.interleave, _scale);
+        StreamRunOptions opts;
+        opts.evictDetached = false; // run()-equivalent growth mode
+        row.results = system.runStream(stream, opts);
+    }
     if (_captureStatsJson) {
         std::ostringstream os;
         system.dumpStatsJson(os, 0);
@@ -100,8 +84,7 @@ std::vector<ExperimentRow>
 ExperimentRunner::runAll(const std::vector<ExperimentPoint> &points,
                          std::ostream *progress)
 {
-    const size_t workers =
-        std::min<size_t>(_jobs ? _jobs : 1, points.size());
+    const size_t workers = std::min<size_t>(_jobs, points.size());
 
     if (workers <= 1) {
         std::vector<ExperimentRow> rows;

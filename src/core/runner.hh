@@ -1,28 +1,22 @@
 /**
  * @file
- * Experiment harness: builds traces, runs configuration sweeps, and
- * prints paper-style result tables. All bench binaries are thin
- * wrappers around this API.
+ * Experiment harness: runs configuration sweeps and prints
+ * paper-style result tables. All bench binaries are thin wrappers
+ * around this API.
  *
- * Sweeps can fan out across a worker pool (`jobs` > 1): every
- * ExperimentPoint is an independent System run over an immutable
- * cached trace, so points execute on N threads while results stay in
- * input order and are bit-identical to a serial run. The trace cache
- * is thread-safe with per-key construction locks — two points that
- * need the same (benchmark, tenants, interleaving) trace build it
- * exactly once.
+ * Each ExperimentPoint streams its hyper-tenant trace through a
+ * workload::SpliceStream, so a point holds O(tenants) generator
+ * state instead of O(packets) of trace, and nothing outlives the
+ * point. Sweeps can fan out across a worker pool (`jobs` > 1): every
+ * point is an independent System run over its own stream, so points
+ * execute on N threads while results stay in input order and are
+ * bit-identical to a serial run.
  */
 
 #ifndef HYPERSIO_CORE_RUNNER_HH
 #define HYPERSIO_CORE_RUNNER_HH
 
-#include <atomic>
-#include <compare>
-#include <functional>
 #include <iosfwd>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -52,19 +46,22 @@ struct ExperimentRow
     RunResults results;
     /**
      * Compact JSON dump of the run's full stat tree; empty unless
-     * the runner's captureStatsJson() was enabled (the `--json`
+     * the runner was built with capture_stats_json (the `--json`
      * reports embed it per point).
      */
     std::string statsJson;
 };
 
 /**
- * Runs experiment points, reusing constructed traces across points
- * that share (benchmark, tenants, interleaving, scale, seed).
+ * Runs experiment points. Each run() builds its own System and its
+ * own packet source, so the runner holds no per-point state and
+ * run() is safe to call from several threads.
  *
- * All public methods are safe to call from multiple threads; each
- * run() builds its own System, and getTrace() returns references
- * that stay valid for the runner's lifetime.
+ * A point streams its trace unless its run needs the trace in
+ * memory: Belady (Oracle) DevTLB replacement reads the whole future
+ * up front, and native (bypassTranslation) points run through
+ * System::run. Those points materialize the trace and free it when
+ * the point ends.
  */
 class ExperimentRunner
 {
@@ -72,7 +69,7 @@ class ExperimentRunner
     /**
      * @param scale trace scale factor (1.0 = paper-sized logs);
      *        quick runs use a small fraction
-     * @param jobs worker threads used by runAll(); 1 = serial
+     * @param jobs worker threads used by runAll(); 0 and 1 = serial
      * @param capture_stats_json fill ExperimentRow::statsJson
      */
     explicit ExperimentRunner(double scale = 0.05,
@@ -84,70 +81,20 @@ class ExperimentRunner
     ExperimentRow run(const ExperimentPoint &point);
 
     /**
-     * Runs all points, dispatching them to jobs() worker threads.
+     * Runs all points, dispatching them to the worker threads.
      * Results are returned in input order regardless of completion
      * order; progress lines (one per point) are emitted atomically.
-     * With jobs() == 1 this is exactly the historical serial loop.
+     * With one job this is exactly the serial loop.
      */
     std::vector<ExperimentRow>
     runAll(const std::vector<ExperimentPoint> &points,
            std::ostream *progress = nullptr);
 
-    /**
-     * Builds (and caches) the trace for a workload setting. The
-     * returned reference is stable for the runner's lifetime; a
-     * given key's trace is constructed exactly once even when many
-     * threads request it concurrently.
-     */
-    const trace::HyperTrace &getTrace(workload::Benchmark bench,
-                                      unsigned tenants,
-                                      const trace::Interleaving &il);
-
-    double scale() const { return _scale; }
-    uint64_t seed() const { return _seed; }
-
-    unsigned jobs() const { return _jobs; }
-    void setJobs(unsigned jobs) { _jobs = jobs ? jobs : 1; }
-
-    /** When set, each ExperimentRow carries its JSON stat tree. */
-    bool captureStatsJson() const { return _captureStatsJson; }
-    void setCaptureStatsJson(bool on) { _captureStatsJson = on; }
-
-    /** Unique traces constructed so far (tested by the stress suite). */
-    uint64_t
-    traceConstructions() const
-    {
-        return _constructions.load(std::memory_order_relaxed);
-    }
-
-    /** One worker per hardware thread (at least 1). */
-    static unsigned defaultJobs();
-
   private:
     double _scale;
     uint64_t _seed;
     unsigned _jobs;
-    bool _captureStatsJson = false;
-
-    struct TraceKey
-    {
-        workload::Benchmark bench;
-        unsigned tenants;
-        std::string interleave;
-
-        auto operator<=>(const TraceKey &) const = default;
-    };
-
-    /** A cache slot: the once-flag is the per-key construction lock. */
-    struct TraceEntry
-    {
-        std::once_flag built;
-        trace::HyperTrace trace;
-    };
-
-    std::mutex _traceMutex; ///< guards the map structure only
-    std::map<TraceKey, std::unique_ptr<TraceEntry>> _traces;
-    std::atomic<uint64_t> _constructions{0};
+    bool _captureStatsJson;
 };
 
 /** The tenant counts the paper sweeps in Figs. 9-12 (4..1024). */

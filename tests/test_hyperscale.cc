@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/multi_system.hh"
@@ -170,24 +171,31 @@ statsJson(const core::System &system)
 }
 
 /**
- * The golden system-level equivalence: run() on the materialized
- * trace and runStream() on the lazy stream must produce identical
- * RunResults (bit-identical doubles) and identical stats trees.
+ * The golden cross-path equivalence: run() on the materialized
+ * trace, runStream() on the lazy stream, and a one-shard
+ * ShardedMultiSystem over the same stream (all without eviction)
+ * must produce identical RunResults (bit-identical doubles) and
+ * identical stats trees.
  */
 void
 expectGoldenEquivalence(workload::Benchmark bench, unsigned tenants,
-                        double scale)
+                        double scale,
+                        const core::SystemConfig &config =
+                            core::SystemConfig::hypertrio(),
+                        const std::string &interleave = "RR1")
 {
+    SCOPED_TRACE(config.name + " " + interleave);
     const uint64_t seed = 42;
-    const trace::Interleaving mode = trace::parseInterleaving("RR1");
+    const trace::Interleaving mode =
+        trace::parseInterleaving(interleave);
     const trace::HyperTrace golden = trace::constructTrace(
         workload::generateLogs(bench, tenants, seed, scale), mode);
     ASSERT_FALSE(golden.packets.empty());
 
-    core::System materialized(core::SystemConfig::hypertrio());
+    core::System materialized(config);
     const core::RunResults want = materialized.run(golden);
 
-    core::System streamed(core::SystemConfig::hypertrio());
+    core::System streamed(config);
     workload::SpliceStream stream(bench, tenants, seed, mode, scale);
     core::StreamRunOptions opts;
     opts.evictDetached = false; // growth mode: mirror run() exactly
@@ -196,10 +204,32 @@ expectGoldenEquivalence(workload::Benchmark bench, unsigned tenants,
     EXPECT_TRUE(want == got)
         << "RunResults diverged at " << tenants << " tenants";
     EXPECT_EQ(statsJson(materialized), statsJson(streamed));
+
+    core::ShardedMultiSystem sharded(config, /*shards=*/1);
+    const core::ShardedRunResults shard = sharded.run(
+        [&](unsigned) {
+            return std::make_unique<workload::SpliceStream>(
+                bench, tenants, seed, mode, scale);
+        },
+        opts);
+    ASSERT_EQ(shard.perShard.size(), 1u);
+    EXPECT_TRUE(want == shard.perShard[0])
+        << "one-shard run diverged at " << tenants << " tenants";
+    EXPECT_EQ(statsJson(materialized), statsJson(sharded.shard(0)));
 }
 
 TEST(GoldenEquivalence, Tenants64) {
     expectGoldenEquivalence(workload::Benchmark::Iperf3, 64, 0.02);
+    // Base (PTB 1: drop/retry every slot) and the RR4 / RAND1
+    // interleavings go through the same three paths.
+    expectGoldenEquivalence(workload::Benchmark::Iperf3, 64, 0.02,
+                            core::SystemConfig::base());
+    expectGoldenEquivalence(workload::Benchmark::Mediastream, 64,
+                            0.02, core::SystemConfig::base(), "RR4");
+    expectGoldenEquivalence(workload::Benchmark::Websearch, 64, 0.02,
+                            core::SystemConfig::base(), "RAND1");
+    expectGoldenEquivalence(workload::Benchmark::Websearch, 64, 0.02,
+                            core::SystemConfig::hypertrio(), "RAND1");
 }
 
 TEST(GoldenEquivalence, Tenants256) {

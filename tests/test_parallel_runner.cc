@@ -1,10 +1,9 @@
-/** Serial-vs-parallel equivalence tests for the ExperimentRunner
- *  worker pool, plus concurrency stress tests for the shared trace
- *  cache (per-key construction locks). */
+/** ExperimentRunner tests: every streamed sweep point matches a
+ *  System run over its materialized trace, and the worker pool
+ *  returns serial-identical results in input order. */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <memory>
 #include <set>
@@ -14,6 +13,7 @@
 
 #include "core/multi_system.hh"
 #include "core/runner.hh"
+#include "trace/constructor.hh"
 #include "util/debug.hh"
 #include "util/logging.hh"
 #include "workload/streaming.hh"
@@ -39,10 +39,10 @@ makePoint(const std::string &label, SystemConfig config,
 }
 
 /**
- * A sweep mixing configurations, benchmarks, tenant counts, and
- * interleavings. The first three points deliberately share one
- * (iperf3, 4, RR1) trace so the equivalence run also covers cache
- * sharing under concurrency.
+ * A sweep mixing configurations (Base, HyperTRIO, partitioned),
+ * benchmarks, tenant counts, and interleavings (RR1, RR4, RAND1),
+ * plus one native point. The first three points run the same
+ * (iperf3, 4, RR1) workload, each generating it afresh.
  */
 std::vector<ExperimentPoint>
 goldenPoints()
@@ -99,11 +99,47 @@ TEST(ParallelRunnerTest, GoldenEquivalenceJobs1VsJobs4)
             << parallel_rows[i].results.achievedGbps << " Gb/s / "
             << parallel_rows[i].results.elapsed << " ticks";
     }
+}
 
-    // Three points shared one (iperf3, 4, RR1) trace: only four
-    // unique traces exist in either runner.
-    EXPECT_EQ(serial.traceConstructions(), 4u);
-    EXPECT_EQ(parallel.traceConstructions(), 4u);
+/**
+ * Streaming parity: ExperimentRunner::run must give the same
+ * RunResults and the same stats tree, byte for byte, as a fresh
+ * System::run over the materialized trace, for every golden point
+ * and for a Belady (Oracle DevTLB) point, which materializes inside
+ * the runner.
+ */
+TEST(ExperimentRunnerTest, EveryPointMatchesMaterializedRun)
+{
+    auto points = goldenPoints();
+    SystemConfig belady = SystemConfig::hypertrio();
+    belady.name = "belady";
+    belady.device.devtlb.policy = cache::ReplPolicyKind::Oracle;
+    points.push_back(makePoint("belady-iperf", belady,
+                               workload::Benchmark::Iperf3, 8,
+                               "RR1"));
+
+    ExperimentRunner runner(0.02, 42, /*jobs=*/1,
+                            /*capture_stats_json=*/true);
+    for (const ExperimentPoint &point : points) {
+        SCOPED_TRACE(point.label);
+        const ExperimentRow row = runner.run(point);
+
+        const trace::HyperTrace trace = trace::constructTrace(
+            workload::generateLogs(point.bench, point.tenants, 42,
+                                   0.02),
+            point.interleave);
+        SystemConfig config = point.config;
+        config.seed = 42;
+        System system(config);
+        const RunResults want =
+            system.run(trace, point.bypassTranslation);
+        std::ostringstream stats;
+        system.dumpStatsJson(stats, 0);
+
+        EXPECT_GT(want.packetsProcessed, 0u);
+        EXPECT_TRUE(row.results == want);
+        EXPECT_EQ(row.statsJson, stats.str());
+    }
 }
 
 TEST(ShardedMultiSystemTest, GoldenEquivalenceJobs1VsJobsN)
@@ -156,6 +192,34 @@ TEST(ParallelRunnerTest, MoreJobsThanPointsIsHarmless)
         EXPECT_TRUE(a[i].results == b[i].results) << "row " << i;
 }
 
+TEST(ParallelRunnerTest, SetJobsClampsZeroToSerial)
+{
+    // jobs = 0 is clamped to one job: runAll() is the serial loop,
+    // so progress lines come out in input order and every row
+    // matches an explicitly serial runner.
+    const auto points = goldenPoints();
+    ExperimentRunner serial(0.02, 42, 1);
+    ExperimentRunner clamped(0.02, 42, 0);
+    std::ostringstream progress;
+    const auto a = serial.runAll(points);
+    const auto b = clamped.runAll(points, &progress);
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i)
+        EXPECT_TRUE(a[i].results == b[i].results) << "row " << i;
+
+    std::istringstream in(progress.str());
+    std::string line;
+    size_t i = 0;
+    while (std::getline(in, line)) {
+        ASSERT_LT(i, points.size()) << line;
+        EXPECT_EQ(line.rfind("  running " + points[i].label + " (", 0),
+                  0u)
+            << line;
+        ++i;
+    }
+    EXPECT_EQ(i, points.size());
+}
+
 TEST(ParallelRunnerTest, ProgressLinesAreCoherentAndComplete)
 {
     const auto points = goldenPoints();
@@ -181,95 +245,6 @@ TEST(ParallelRunnerTest, ProgressLinesAreCoherentAndComplete)
     for (const auto &point : points)
         expected.insert(point.label);
     EXPECT_EQ(labels, expected);
-}
-
-TEST(ParallelRunnerTest, SetJobsClampsZeroToSerial)
-{
-    ExperimentRunner runner(0.02, 42, 4);
-    runner.setJobs(0);
-    EXPECT_EQ(runner.jobs(), 1u);
-    runner.setJobs(8);
-    EXPECT_EQ(runner.jobs(), 8u);
-    EXPECT_GE(ExperimentRunner::defaultJobs(), 1u);
-}
-
-TEST(TraceCacheStressTest, OverlappingGetTraceConstructsEachOnce)
-{
-    ExperimentRunner runner(0.02, 42);
-
-    struct Key
-    {
-        workload::Benchmark bench;
-        unsigned tenants;
-        const char *il;
-    };
-    const std::vector<Key> keys = {
-        {workload::Benchmark::Iperf3, 4, "RR1"},
-        {workload::Benchmark::Iperf3, 8, "RR1"},
-        {workload::Benchmark::Websearch, 4, "RR4"},
-    };
-
-    constexpr unsigned kThreads = 8;
-    constexpr unsigned kIters = 16;
-    // One pointer slot per (thread, iteration, key): every observed
-    // reference is compared against the canonical one afterwards.
-    std::vector<const trace::HyperTrace *> seen(
-        kThreads * kIters * keys.size(), nullptr);
-    std::atomic<unsigned> ready{0};
-    std::atomic<bool> go{false};
-
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (unsigned tid = 0; tid < kThreads; ++tid) {
-        threads.emplace_back([&, tid]() {
-            ready.fetch_add(1);
-            while (!go.load()) // spin: maximise overlap
-                std::this_thread::yield();
-            for (unsigned it = 0; it < kIters; ++it) {
-                for (size_t k = 0; k < keys.size(); ++k) {
-                    // Stagger key order per thread so different
-                    // threads hit different keys simultaneously.
-                    const size_t pick =
-                        (k + tid + it) % keys.size();
-                    const Key &key = keys[pick];
-                    const auto &trace = runner.getTrace(
-                        key.bench, key.tenants,
-                        trace::parseInterleaving(key.il));
-                    seen[(tid * kIters + it) * keys.size() + pick] =
-                        &trace;
-                }
-            }
-        });
-    }
-    while (ready.load() != kThreads)
-        std::this_thread::yield();
-    go.store(true);
-    for (auto &thread : threads)
-        thread.join();
-
-    // Each unique key was constructed exactly once...
-    EXPECT_EQ(runner.traceConstructions(), keys.size());
-
-    // ...and every returned reference is the canonical, valid trace.
-    for (size_t k = 0; k < keys.size(); ++k) {
-        const trace::HyperTrace &canonical = runner.getTrace(
-            keys[k].bench, keys[k].tenants,
-            trace::parseInterleaving(keys[k].il));
-        EXPECT_FALSE(canonical.packets.empty());
-        EXPECT_EQ(canonical.numTenants, keys[k].tenants);
-        for (unsigned tid = 0; tid < kThreads; ++tid) {
-            for (unsigned it = 0; it < kIters; ++it) {
-                const trace::HyperTrace *got =
-                    seen[(tid * kIters + it) * keys.size() + k];
-                ASSERT_NE(got, nullptr);
-                EXPECT_EQ(got, &canonical)
-                    << "thread " << tid << " iteration " << it
-                    << " key " << k;
-            }
-        }
-    }
-    // The post-join lookups hit the cache; nothing was rebuilt.
-    EXPECT_EQ(runner.traceConstructions(), keys.size());
 }
 
 TEST(ParallelLoggingTest, ConcurrentLogLinesNeverInterleave)

@@ -273,19 +273,6 @@ TEST(System, PtbReleaseOnASlotTickMatchesEventPerSlotGoldens)
     }
 }
 
-TEST(ExperimentRunnerTest, CachesTracesAcrossPoints)
-{
-    ExperimentRunner runner(0.02, 42);
-    const auto &a = runner.getTrace(workload::Benchmark::Iperf3, 8,
-                                    trace::parseInterleaving("RR1"));
-    const auto &b = runner.getTrace(workload::Benchmark::Iperf3, 8,
-                                    trace::parseInterleaving("RR1"));
-    EXPECT_EQ(&a, &b);
-    const auto &c = runner.getTrace(workload::Benchmark::Iperf3, 8,
-                                    trace::parseInterleaving("RR4"));
-    EXPECT_NE(&a, &c);
-}
-
 TEST(ExperimentRunnerTest, RunProducesConsistentRow)
 {
     ExperimentRunner runner(0.02, 42);
